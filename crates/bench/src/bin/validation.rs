@@ -4,7 +4,7 @@
 //! hold-hold *does* deadlock with the enhancement off.
 use cosched_bench::{figures, harness, Scale};
 use cosched_core::{CoupledSimulation, SchemeCombo};
-use cosched_obs::{SinkObserver, VecSink};
+use cosched_obs::{PhaseClock, SinkObserver, TeeObserver, VecSink};
 use cosched_trace::{AttributionReport, CriticalPathReport, LifecycleSet};
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
     // analysis layer can attribute wait time afterwards (the report must be
     // identical to an untraced run).
     let cfg = cosched_core::CoupledConfig::anl(SchemeCombo::HH);
-    let observer = SinkObserver::new(VecSink::default());
+    let observer = TeeObserver::new(SinkObserver::new(VecSink::default()), PhaseClock::new());
     let arts = CoupledSimulation::with_observer(
         cfg,
         harness::anl_load_traces(1, scale.days, 0.50),
@@ -53,7 +53,7 @@ fn main() {
         report.deadlocked, report.unfinished
     );
     println!();
-    let records = &arts.observer.sink().records;
+    let records = &arts.observer.first.sink().records;
     println!(
         "observability: {} trace records, {} rpc calls, {} release sweeps",
         records.len(),
@@ -72,8 +72,9 @@ fn main() {
         }
         Err(e) => eprintln!("critical-path reconstruction failed: {e}"),
     }
+    let clock = &arts.observer.second;
     println!("wall-clock profile:");
-    for ph in &arts.profile {
+    for ph in clock.profile() {
         println!(
             "  {:<22} calls {:>8}  total {:>9}us  mean {:>7}ns  max {:>9}ns",
             ph.phase,
@@ -83,11 +84,12 @@ fn main() {
             ph.max_ns
         );
     }
+    let rpc_latency = clock.rpc_latency();
     println!(
         "  {:<22} count {:>8}  mean {:>7.0}ns  max {:>9}ns",
         "rpc latency",
-        arts.rpc_latency_ns.count,
-        arts.rpc_latency_ns.mean(),
-        arts.rpc_latency_ns.max
+        rpc_latency.count,
+        rpc_latency.mean(),
+        rpc_latency.max
     );
 }

@@ -29,7 +29,7 @@ use crate::harness::{
     SeedOutcome, SweepPoint, EUREKA_UTILS, PROPORTIONS,
 };
 use cosched_core::{CoupledConfig, CoupledSimulation, SchemeCombo};
-use cosched_obs::PhaseSnapshot;
+use cosched_obs::{PhaseClock, PhaseSnapshot};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -348,15 +348,16 @@ pub fn check_campaign(
     Ok(ratio)
 }
 
-/// Wall-clock phase profile of one cell, run traced.
+/// Wall-clock phase profile of one cell, run with a [`PhaseClock`].
 fn phase_profile_of(cell: &CampaignCell) -> Vec<PhaseSnapshot> {
     let config = match cell.combo {
         Some(c) => CoupledConfig::anl(c),
         None => CoupledConfig::anl_baseline(),
     };
-    CoupledSimulation::new(config, cell.traces())
+    CoupledSimulation::with_observer(config, cell.traces(), PhaseClock::new())
         .run_traced()
-        .profile
+        .observer
+        .profile()
 }
 
 #[cfg(test)]

@@ -208,3 +208,48 @@ fn machine_blocked_iteration_is_allocation_free_after_warmup() {
         "steady-state blocked scheduling iteration must not allocate"
     );
 }
+
+/// The coscheduling commit cycle on a warm machine: every iteration picks
+/// a job and yields it, picks the next and holds it, then releases that
+/// hold (the deadlock breaker's path). Queue membership moves through the
+/// slab in place, so once the queue, order and held buffers have grown to
+/// their steady-state size nothing touches the heap.
+#[test]
+fn machine_yield_hold_release_cycle_is_allocation_free_after_warmup() {
+    let mut machine = Machine::new(MachineConfig::flat("m", MachineId(0), 100));
+    for i in 0..8u64 {
+        machine.submit(
+            Job::new(
+                JobId(1_000_003 * (8 - i)),
+                MachineId(0),
+                SimTime::ZERO,
+                40,
+                SimDuration::from_secs(3_600),
+                SimDuration::from_secs(7_200),
+            ),
+            SimTime::ZERO,
+        );
+    }
+    let mut cycle = |secs: u64| {
+        let now = SimTime::from_secs(secs);
+        machine.begin_iteration();
+        let first = machine.pick_next(now).expect("an empty machine fits a job");
+        machine.yield_job(first, now);
+        let second = machine.pick_next(now).expect("the yield freed the nodes");
+        let held = second.job_id;
+        machine.hold(second, now);
+        assert_eq!(machine.held_nodes(), 40);
+        assert!(machine.release_held(held, now));
+    };
+    // Warm-up sizes the queue, order scratch and held list.
+    cycle(1);
+    let n = count_allocs(|| {
+        for secs in 2..34 {
+            cycle(secs);
+        }
+    });
+    assert_eq!(
+        n, 0,
+        "steady-state yield/hold/release cycle must not allocate"
+    );
+}

@@ -4,13 +4,13 @@ use crate::args::Parsed;
 use cosched_bench::{bench_campaign, CampaignReport, Scale, SweepKind};
 use cosched_core::{
     CoschedConfig, CoupledConfig, CoupledSimulation, RunStats, Scheme, SchemeCombo,
+    SimulationReport,
 };
 use cosched_metrics::table::{num, pct, Table};
-use cosched_obs::metrics::HistogramSnapshot;
 use cosched_obs::monitor::{StreamingMonitor, TelemetrySnapshot};
 use cosched_obs::{
-    default_rules, read_trace_file, AlertRule, JsonlSink, MetricsSnapshot, PhaseSnapshot,
-    SinkObserver, TeeObserver,
+    default_rules, read_trace_file, AlertRule, JsonlSink, MetricsSnapshot, NoopObserver, Observer,
+    PhaseClock, SinkObserver, TeeObserver,
 };
 use cosched_sched::MachineConfig;
 use cosched_sim::{SimDuration, SimRng};
@@ -763,44 +763,34 @@ fn cmd_simulate(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
     // consumers), so all branches reduce to the same artifact tuple. When
     // both a trace sink and a monitor are attached, the sink rides first in
     // the tee so the primary trace is written byte-for-byte as without
-    // telemetry.
-    let (report, profile, rpc_latency, trace_note) = match (p.get("trace-out"), &telemetry) {
+    // telemetry; with --metrics a `PhaseClock` rides behind both.
+    let metrics = p.flag("metrics");
+    let (report, clock, trace_note) = match (p.get("trace-out"), &telemetry) {
         (Some(path), Some((monitor, _))) => {
             let file =
                 std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
             let sink = JsonlSink::new(std::io::BufWriter::new(file));
             let observer = TeeObserver::new(SinkObserver::new(sink), monitor.clone());
-            let arts = CoupledSimulation::with_observer(config, [a, b], observer).run_traced();
-            let lines = arts.observer.first.sink().lines();
-            (
-                arts.report,
-                arts.profile,
-                arts.rpc_latency_ns,
-                Some((path.to_string(), lines)),
-            )
+            let (report, observer, clock) = run_profiled(config, [a, b], observer, metrics);
+            let lines = observer.first.sink().lines();
+            (report, clock, Some((path.to_string(), lines)))
         }
         (Some(path), None) => {
             let file =
                 std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
             let sink = JsonlSink::new(std::io::BufWriter::new(file));
-            let arts = CoupledSimulation::with_observer(config, [a, b], SinkObserver::new(sink))
-                .run_traced();
-            let lines = arts.observer.sink().lines();
-            (
-                arts.report,
-                arts.profile,
-                arts.rpc_latency_ns,
-                Some((path.to_string(), lines)),
-            )
+            let (report, observer, clock) =
+                run_profiled(config, [a, b], SinkObserver::new(sink), metrics);
+            let lines = observer.sink().lines();
+            (report, clock, Some((path.to_string(), lines)))
         }
         (None, Some((monitor, _))) => {
-            let arts =
-                CoupledSimulation::with_observer(config, [a, b], monitor.clone()).run_traced();
-            (arts.report, arts.profile, arts.rpc_latency_ns, None)
+            let (report, _, clock) = run_profiled(config, [a, b], monitor.clone(), metrics);
+            (report, clock, None)
         }
         (None, None) => {
-            let arts = CoupledSimulation::new(config, [a, b]).run_traced();
-            (arts.report, arts.profile, arts.rpc_latency_ns, None)
+            let (report, _, clock) = run_profiled(config, [a, b], NoopObserver, metrics);
+            (report, clock, None)
         }
     };
     if let Some((monitor, server)) = &telemetry {
@@ -852,8 +842,8 @@ fn cmd_simulate(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
     if let Some((path, lines)) = &trace_note {
         let _ = writeln!(out, "trace: {lines} records -> {path}");
     }
-    if p.flag("metrics") {
-        write_metrics(out, &report.metrics, &profile, &rpc_latency);
+    if let Some(clock) = &clock {
+        write_metrics(out, &report.metrics, clock);
     }
     if let Some(path) = p.get("json") {
         let j = JsonReport {
@@ -876,16 +866,29 @@ fn cmd_simulate(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
     Ok(())
 }
 
+/// Run a simulation feeding `observer`; with `profile`, a [`PhaseClock`]
+/// rides second in a tee so `observer` sees exactly the same events.
+fn run_profiled<O: Observer>(
+    config: CoupledConfig,
+    traces: [Trace; 2],
+    observer: O,
+    profile: bool,
+) -> (SimulationReport, O, Option<PhaseClock>) {
+    if profile {
+        let observer = TeeObserver::new(observer, PhaseClock::new());
+        let arts = CoupledSimulation::with_observer(config, traces, observer).run_traced();
+        (arts.report, arts.observer.first, Some(arts.observer.second))
+    } else {
+        let arts = CoupledSimulation::with_observer(config, traces, observer).run_traced();
+        (arts.report, arts.observer, None)
+    }
+}
+
 /// Render the deterministic metrics registry and the wall-clock profile for
 /// `simulate --metrics`. Counters and sim-time histograms come from the
 /// report (deterministic); phase timings and RPC latency are wall-clock and
 /// clearly labelled as such.
-fn write_metrics(
-    out: &mut dyn Write,
-    metrics: &MetricsSnapshot,
-    profile: &[PhaseSnapshot],
-    rpc_latency: &HistogramSnapshot,
-) {
+fn write_metrics(out: &mut dyn Write, metrics: &MetricsSnapshot, clock: &PhaseClock) {
     let _ = writeln!(out, "metrics:");
     for c in &metrics.counters {
         let _ = writeln!(out, "  {:<32} {}", c.name, c.value);
@@ -902,7 +905,7 @@ fn write_metrics(
         );
     }
     let _ = writeln!(out, "wall-clock profile:");
-    for ph in profile {
+    for ph in clock.profile() {
         let _ = writeln!(
             out,
             "  {:<32} calls {} total {}us mean {}ns max {}ns",
@@ -913,6 +916,7 @@ fn write_metrics(
             ph.max_ns
         );
     }
+    let rpc_latency = clock.rpc_latency();
     let _ = writeln!(
         out,
         "  {:<32} count {} mean {:.0}ns max {}ns",
@@ -1045,6 +1049,49 @@ mod tests {
             serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).unwrap();
         assert!(report["stats"]["rpc_calls"].as_u64().unwrap() > 0);
         assert!(report["metrics"]["counters"].as_array().unwrap().len() > 4);
+    }
+
+    #[test]
+    fn untraced_simulate_metrics_prints_wall_clock_profile() {
+        let a = tmp("prof_a.swf");
+        let b = tmp("prof_b.swf");
+        let pairs = tmp("prof_pairs.json");
+        run(&format!(
+            "generate --machine eureka --out {a} --days 2 --util 0.5 --seed 3"
+        ))
+        .unwrap();
+        run(&format!(
+            "generate --machine eureka --out {b} --days 2 --util 0.4 --seed 4"
+        ))
+        .unwrap();
+        run(&format!(
+            "pair --a {a} --b {b} --out {pairs} --proportion 0.2 --seed 5"
+        ))
+        .unwrap();
+        let simulate = |extra: &str| {
+            run(&format!(
+                "simulate --a {a} --b {b} --pairs {pairs} --combo HY --capacity-a 100 \
+                 --capacity-b 100{extra}"
+            ))
+            .unwrap()
+        };
+        let out = simulate(" --metrics");
+        assert!(!out.contains("trace:"), "{out}");
+        let profile = out
+            .split("wall-clock profile:")
+            .nth(1)
+            .unwrap_or_else(|| panic!("no profile section: {out}"));
+        for row in ["scheduler-iteration", "rpc-call", "rpc.latency_ns"] {
+            let line = profile
+                .lines()
+                .find(|l| l.trim_start().starts_with(row))
+                .unwrap_or_else(|| panic!("no {row} row: {out}"));
+            assert!(!line.contains("calls 0 "), "{line}");
+            assert!(!line.contains("count 0 "), "{line}");
+        }
+        // The report table is the same with and without the profile.
+        let plain = simulate("");
+        assert!(out.starts_with(&plain), "{plain}\n---\n{out}");
     }
 
     #[test]

@@ -23,18 +23,16 @@ use crate::algorithm::{run_job_traced, Decision, LocalContext};
 use crate::config::CoupledConfig;
 use crate::registry::MateRegistry;
 use cosched_metrics::{JobRecord, MachineSummary};
-use cosched_obs::metrics::HistogramSnapshot;
 use cosched_obs::trace::RpcKind;
 use cosched_obs::{
-    Histogram, MetricsRegistry, MetricsSnapshot, NoopObserver, Observer, Phase, PhaseProfiler,
-    PhaseSnapshot, SpanKind, TraceEvent, GLOBAL, NO_JOB, NO_SPAN,
+    MetricsRegistry, MetricsSnapshot, NoopObserver, Observer, SpanKind, TraceEvent, GLOBAL, NO_JOB,
+    NO_SPAN,
 };
 use cosched_proto::{MateStatus, ProtoError, Request, Response};
 use cosched_sched::{JobStatus, Machine, SchedStats};
 use cosched_sim::{EventQueue, SimDuration, SimTime};
 use cosched_workload::{Job, JobId, Trace};
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 
 /// Events driving the coupled simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,20 +87,14 @@ pub struct RunStats {
     pub rpc_timeouts: u64,
 }
 
-/// Everything a run produces: the deterministic report, the observer (to
-/// read back a sink), and the wall-clock profile kept strictly outside the
-/// report so same-seed runs stay byte-identical.
+/// Everything a run produces: the deterministic report and the observer
+/// (to read back a sink). The driver reads no wall clock; a wall-clock
+/// profile comes from attaching a `cosched_obs::PhaseClock` observer.
 pub struct RunArtifacts<O> {
     /// The deterministic simulation outcome.
     pub report: SimulationReport,
     /// The observer handed to [`CoupledSimulation::with_observer`].
     pub observer: O,
-    /// Wall-clock phase timings (scheduler iterations, release sweeps,
-    /// RPCs). Never folded into `report`.
-    pub profile: Vec<PhaseSnapshot>,
-    /// Wall-clock latency distribution of in-process protocol calls, in
-    /// nanoseconds. Never folded into `report`.
-    pub rpc_latency_ns: HistogramSnapshot,
 }
 
 /// Outcome of a coupled simulation run.
@@ -220,10 +212,6 @@ pub struct CoupledSimulation<O: Observer = NoopObserver> {
     status_timeout: [bool; 2],
     /// Deterministic run counters (always on).
     stats: RunStats,
-    /// Wall-clock phase timings; never folded into the report.
-    profiler: PhaseProfiler,
-    /// Wall-clock in-process RPC latency; never folded into the report.
-    rpc_latency: Histogram,
     /// Causal-span bookkeeping; empty unless the observer is active.
     spans: SpanBook,
     observer: O,
@@ -283,8 +271,6 @@ impl<O: Observer> CoupledSimulation<O> {
             direct_pairs: HashSet::new(),
             status_timeout: [false, false],
             stats: RunStats::default(),
-            profiler: PhaseProfiler::new(),
-            rpc_latency: Histogram::new(),
             spans: SpanBook::default(),
             observer,
         }
@@ -425,30 +411,11 @@ impl<O: Observer> CoupledSimulation<O> {
     /// `every` events — for long-run monitoring and diagnosis (the observer
     /// sees the live simulation state through the public accessors).
     pub fn run_observed(
-        mut self,
+        self,
         every: u64,
-        mut observer: impl FnMut(&CoupledSimulation<O>),
+        observer: impl FnMut(&CoupledSimulation<O>),
     ) -> SimulationReport {
-        for m in 0..2 {
-            for idx in 0..self.jobs[m].len() {
-                let t = self.jobs[m][idx].submit;
-                self.queue.push(t, Event::Arrival { m, idx });
-            }
-        }
-        let mut aborted = false;
-        while let Some(ev) = self.queue.pop() {
-            if self.events >= self.config.max_events {
-                aborted = true;
-                break;
-            }
-            self.now = ev.time;
-            self.events += 1;
-            if every > 0 && self.events.is_multiple_of(every) {
-                observer(&self);
-            }
-            self.dispatch(ev.event);
-        }
-        self.report(aborted).report
+        self.run_loop(every, observer).report
     }
 
     /// Run to completion and build the report.
@@ -457,9 +424,19 @@ impl<O: Observer> CoupledSimulation<O> {
     }
 
     /// Run to completion, returning the report together with the observer
-    /// (to read back an attached sink) and the wall-clock profile.
-    pub fn run_traced(mut self) -> RunArtifacts<O> {
-        // Seed arrivals.
+    /// (to read back an attached sink).
+    pub fn run_traced(self) -> RunArtifacts<O> {
+        self.run_loop(0, |_| {})
+    }
+
+    /// The event loop: seed arrivals, then dispatch events in time order,
+    /// calling `every_n` before every `every`-th event (never when
+    /// `every` is 0).
+    fn run_loop(
+        mut self,
+        every: u64,
+        mut every_n: impl FnMut(&CoupledSimulation<O>),
+    ) -> RunArtifacts<O> {
         for m in 0..2 {
             for idx in 0..self.jobs[m].len() {
                 let t = self.jobs[m][idx].submit;
@@ -475,6 +452,9 @@ impl<O: Observer> CoupledSimulation<O> {
             debug_assert!(ev.time >= self.now, "time went backwards");
             self.now = ev.time;
             self.events += 1;
+            if every > 0 && self.events.is_multiple_of(every) {
+                every_n(&self);
+            }
             self.dispatch(ev.event);
         }
         self.report(aborted)
@@ -499,7 +479,6 @@ impl<O: Observer> CoupledSimulation<O> {
                 self.iterate(m);
             }
             Event::ReleaseSweep { m } => {
-                let sweep_t0 = Instant::now();
                 self.sweep_armed[m] = false;
                 let Some(period) = self.config.cosched[m].release_period else {
                     return;
@@ -571,8 +550,6 @@ impl<O: Observer> CoupledSimulation<O> {
                         TraceEvent::SpanClose { span: sweep_span },
                     );
                 }
-                self.profiler
-                    .record(Phase::ReleaseSweep, elapsed_ns(sweep_t0));
                 self.iterate(m);
                 // Re-arm for the re-created holds (they all begin at this
                 // instant, so the next sweep is one full `period` away).
@@ -584,7 +561,6 @@ impl<O: Observer> CoupledSimulation<O> {
     /// One scheduling iteration on machine `m`: drain ready candidates
     /// through Algorithm 1.
     fn iterate(&mut self, m: usize) {
-        let iter_t0 = Instant::now();
         let (queued, running, free_nodes) = (
             self.machines[m].queued_jobs().len(),
             self.machines[m].running_jobs().len(),
@@ -622,16 +598,13 @@ impl<O: Observer> CoupledSimulation<O> {
                 via_backfill: cand.via_backfill,
             });
             let cfg = self.config.cosched[m].clone();
-            let job = self.machines[m]
-                .job(cand.job_id)
-                .expect("candidate exists")
-                .clone();
+            let job = self.machines[m].candidate_job(&cand).clone();
             let ctx = LocalContext {
                 job: &job,
                 candidate_charged: cand.charged,
                 capacity: self.machines[m].config().capacity,
                 held_nodes: self.machines[m].held_nodes(),
-                yields_so_far: self.machines[m].yields_of(cand.job_id),
+                yields_so_far: cand.yields,
             };
             let remote = 1 - m;
             // RPC spans for this decision parent under the pair root (the
@@ -746,8 +719,6 @@ impl<O: Observer> CoupledSimulation<O> {
         }
         self.emit(m, || TraceEvent::SchedIterationEnd { started });
         self.arm_sweep_if_needed(m);
-        self.profiler
-            .record(Phase::SchedulerIteration, elapsed_ns(iter_t0));
     }
 
     /// Is any queued job on machine `m` blocked by nodes that holds are
@@ -759,12 +730,11 @@ impl<O: Observer> CoupledSimulation<O> {
             return false;
         }
         let free = self.machines[m].free_nodes();
-        self.machines[m].queued_jobs().iter().any(|&id| {
-            let size = self.machines[m].job(id).map_or(0, |j| j.size);
-            // Blocked now (by count or by fragmentation) but feasible once
-            // the held nodes come back.
-            size <= free + held && !self.machines[m].can_fit(size)
-        })
+        // Blocked now (by count or by fragmentation) but feasible once the
+        // held nodes come back.
+        self.machines[m]
+            .queued_jobs()
+            .any(|job| job.size <= free + held && !self.machines[m].can_fit(job.size))
     }
 
     /// Schedule the next release sweep for machine `m` if it has holds and
@@ -800,7 +770,6 @@ impl<O: Observer> CoupledSimulation<O> {
         req: &Request,
         parent: u64,
     ) -> Result<Response, ProtoError> {
-        let rpc_t0 = Instant::now();
         let kind = rpc_kind(req);
         self.stats.rpc_calls += 1;
         // Caller-side RPC span: opened on the calling machine (1 - m).
@@ -822,9 +791,6 @@ impl<O: Observer> CoupledSimulation<O> {
             NO_SPAN
         };
         let result = self.remote_call_inner(m, req, rpc_span);
-        let nanos = elapsed_ns(rpc_t0);
-        self.rpc_latency.record(nanos);
-        self.profiler.record(Phase::RpcCall, nanos);
         if result.is_err() {
             self.stats.rpc_timeouts += 1;
             self.emit(m, || TraceEvent::RpcTimeout { kind });
@@ -1034,17 +1000,8 @@ impl<O: Observer> CoupledSimulation<O> {
         };
         let mut observer = self.observer;
         observer.flush();
-        RunArtifacts {
-            report,
-            observer,
-            profile: self.profiler.snapshot(),
-            rpc_latency_ns: self.rpc_latency.snapshot("rpc.latency_ns"),
-        }
+        RunArtifacts { report, observer }
     }
-}
-
-fn elapsed_ns(t0: Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Map a protocol request to its trace-event kind tag.

@@ -201,14 +201,10 @@ impl LiveDomain {
             let picked = {
                 let mut g = self.inner.lock();
                 g.machine.pick_next(now).map(|cand| {
-                    let job = g
-                        .machine
-                        .job(cand.job_id)
-                        .expect("candidate exists")
-                        .clone();
+                    let job = g.machine.candidate_job(&cand).clone();
                     let capacity = g.machine.config().capacity;
                     let held = g.machine.held_nodes();
-                    let yields = g.machine.yields_of(cand.job_id);
+                    let yields = cand.yields;
                     (cand, job, capacity, held, yields, g.cfg.clone())
                 })
             };

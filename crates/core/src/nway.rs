@@ -375,10 +375,9 @@ impl NwaySimulation {
         let held = self.machines[m].held_nodes();
         let free = self.machines[m].free_nodes();
         let blocked = held > 0
-            && self.machines[m].queued_jobs().iter().any(|&id| {
-                let size = self.machines[m].job(id).map_or(0, |j| j.size);
-                size <= free + held && !self.machines[m].can_fit(size)
-            });
+            && self.machines[m]
+                .queued_jobs()
+                .any(|job| job.size <= free + held && !self.machines[m].can_fit(job.size));
         if !blocked {
             if !self.machines[m].held_jobs().is_empty() {
                 self.queue

@@ -17,9 +17,11 @@
 //!   reports. Deterministic inputs only (sim time, counts): identical
 //!   seeds produce identical snapshots.
 //! * **Phase profiling** ([`profile`]) — wall-clock timings around
-//!   scheduler iterations, release sweeps, and RPCs. Wall-clock data is
-//!   *never* mixed into traces or report metrics; it lives in its own
-//!   snapshot so determinism guarantees hold.
+//!   scheduler iterations, release sweeps, and RPCs, taken by the
+//!   [`profile::PhaseClock`] observer from the event stream (the simulator
+//!   reads no clock). Wall-clock data is *never* mixed into traces or
+//!   report metrics; it lives in its own snapshot so determinism
+//!   guarantees hold.
 //!
 //! The crate has no dependency on the rest of the workspace (events carry
 //! plain `u64` sim-seconds), so every layer can depend on it without
@@ -39,7 +41,7 @@ pub use monitor::{MachineTelemetry, StreamingMonitor, TelemetrySnapshot};
 pub use observe::{
     JsonlSink, NoopObserver, Observer, RingSink, Sink, SinkObserver, TeeObserver, VecSink,
 };
-pub use profile::{Phase, PhaseProfiler, PhaseSnapshot};
+pub use profile::{Phase, PhaseClock, PhaseProfiler, PhaseSnapshot};
 pub use reader::{
     read_trace_file, read_trace_str, write_trace_string, TraceReadError, TraceReader,
 };

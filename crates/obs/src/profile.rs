@@ -5,7 +5,15 @@
 //! Wall-clock data is inherently nondeterministic, so it is kept strictly
 //! out of traces and report metrics: a [`PhaseProfiler`] lives beside the
 //! simulation and is reported separately.
+//!
+//! The simulator itself reads no clock. A [`PhaseClock`] is an ordinary
+//! [`Observer`] that stamps the wall clock on boundary events the driver
+//! already emits, so an untraced run pays nothing for profiling and a
+//! profiled run is attached like any other observer.
 
+use crate::metrics::{Histogram, HistogramSnapshot};
+use crate::observe::Observer;
+use crate::trace::{SpanKind, TraceEvent};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -120,6 +128,86 @@ pub struct PhaseSnapshot {
     pub max_ns: u64,
 }
 
+/// Wall-clock phase profile rebuilt from the driver's event stream.
+///
+/// * `scheduler-iteration`: `SchedIterationStart` to `SchedIterationEnd`;
+/// * `rpc-call`: `SpanOpen` to `SpanClose` of an `Rpc` span (the caller
+///   side of one protocol call), also kept as a latency histogram;
+/// * `release-sweep`: `SpanOpen` to `SpanClose` of a `ReleaseSweep` span.
+///
+/// Attach it behind any other observer in a `TeeObserver` (as `second`):
+/// it only reads events, so the first observer's output is unchanged.
+/// Attaching it turns tracing on, so a profiled run also pays for building
+/// the events it reads.
+#[derive(Debug, Default)]
+pub struct PhaseClock {
+    profiler: PhaseProfiler,
+    rpc_latency: Histogram,
+    /// Start of the open scheduler iteration (iterations do not nest).
+    iteration: Option<Instant>,
+    /// Open RPC and release-sweep spans: `(span id, phase, start)`.
+    open: Vec<(u64, Phase, Instant)>,
+}
+
+impl PhaseClock {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Per-phase wall-clock summary, as [`PhaseProfiler::snapshot`].
+    pub fn profile(&self) -> Vec<PhaseSnapshot> {
+        self.profiler.snapshot()
+    }
+
+    /// Wall-clock latency distribution of the protocol calls, in
+    /// nanoseconds (`rpc.latency_ns`).
+    pub fn rpc_latency(&self) -> HistogramSnapshot {
+        self.rpc_latency.snapshot("rpc.latency_ns")
+    }
+}
+
+fn elapsed_ns(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+impl Observer for PhaseClock {
+    fn active(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, _time: u64, _machine: usize, event: TraceEvent) {
+        match event {
+            TraceEvent::SchedIterationStart { .. } => self.iteration = Some(Instant::now()),
+            TraceEvent::SchedIterationEnd { .. } => {
+                if let Some(t0) = self.iteration.take() {
+                    self.profiler
+                        .record(Phase::SchedulerIteration, elapsed_ns(t0));
+                }
+            }
+            TraceEvent::SpanOpen { span, kind, .. } => {
+                let phase = match kind {
+                    SpanKind::Rpc(_) => Phase::RpcCall,
+                    SpanKind::ReleaseSweep => Phase::ReleaseSweep,
+                    _ => return,
+                };
+                self.open.push((span, phase, Instant::now()));
+            }
+            TraceEvent::SpanClose { span } => {
+                let Some(pos) = self.open.iter().rposition(|o| o.0 == span) else {
+                    return;
+                };
+                let (_, phase, t0) = self.open.swap_remove(pos);
+                let ns = elapsed_ns(t0);
+                self.profiler.record(phase, ns);
+                if phase == Phase::RpcCall {
+                    self.rpc_latency.record(ns);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,5 +245,58 @@ mod tests {
         assert_eq!(rpc.calls, 2);
         assert_eq!(rpc.total_ns, 40);
         assert_eq!(rpc.mean_ns, 20);
+    }
+
+    fn open(span: u64, kind: SpanKind) -> TraceEvent {
+        TraceEvent::SpanOpen {
+            span,
+            parent: 0,
+            kind,
+            job: 0,
+            mate: 0,
+        }
+    }
+
+    #[test]
+    fn phase_clock_times_boundary_events() {
+        use crate::trace::RpcKind;
+        let mut c = PhaseClock::new();
+        c.record(
+            0,
+            0,
+            TraceEvent::SchedIterationStart {
+                queued: 1,
+                running: 0,
+                free_nodes: 1,
+            },
+        );
+        c.record(0, 1, open(1, SpanKind::Rpc(RpcKind::GetMateStatus)));
+        // A handler span nests inside the RPC but is not a phase.
+        c.record(0, 0, open(2, SpanKind::RpcHandler(RpcKind::GetMateStatus)));
+        c.record(0, 0, TraceEvent::SpanClose { span: 2 });
+        c.record(0, 1, TraceEvent::SpanClose { span: 1 });
+        c.record(0, 0, TraceEvent::SchedIterationEnd { started: 0 });
+        c.record(5, 0, open(3, SpanKind::ReleaseSweep));
+        c.record(5, 0, TraceEvent::SpanClose { span: 3 });
+        // A close without a matching open is ignored.
+        c.record(5, 0, TraceEvent::SpanClose { span: 9 });
+        c.record(5, 0, TraceEvent::SchedIterationEnd { started: 0 });
+
+        let calls: Vec<(String, u64)> = c
+            .profile()
+            .into_iter()
+            .map(|p| (p.phase, p.calls))
+            .collect();
+        assert_eq!(
+            calls,
+            [
+                ("scheduler-iteration".to_string(), 1),
+                ("release-sweep".to_string(), 1),
+                ("rpc-call".to_string(), 1),
+            ]
+        );
+        let lat = c.rpc_latency();
+        assert_eq!((lat.name.as_str(), lat.count), ("rpc.latency_ns", 1));
+        assert!(c.open.is_empty());
     }
 }

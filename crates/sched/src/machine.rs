@@ -34,7 +34,7 @@ use cosched_obs::trace::{AllocFailReason, TraceEvent};
 use cosched_sim::{SimDuration, SimTime};
 use cosched_workload::{Job, JobId, MachineId};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Static machine description.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -137,6 +137,11 @@ pub struct Candidate {
     /// driver scope iteration spans to iterations that touch mated jobs
     /// without re-fetching the job record.
     pub paired: bool,
+    /// Yields the job had taken before this pick.
+    pub yields: u32,
+    /// The job's slot in the machine's job slab: commits and
+    /// [`Machine::candidate_job`] index it directly, with no id lookup.
+    slot: usize,
 }
 
 /// Plain counters describing scheduler activity, always collected (no
@@ -160,6 +165,10 @@ pub struct SchedStats {
 #[derive(Debug)]
 struct JobState {
     job: Job,
+    /// Planning-time runtime estimate, fixed by the predictor at submit.
+    /// A job always runs its true runtime; planning optimism is acceptable,
+    /// as in real predictive backfilling.
+    planned: SimDuration,
     first_ready: Option<SimTime>,
     yields: u32,
     holds: u32,
@@ -172,6 +181,9 @@ struct JobState {
     /// is running — the key under which it is filed in the machine's sorted
     /// release list, kept so removal at finish needs no recomputation.
     projected_end: Option<SimTime>,
+    /// Index in `Machine::queued` while the job waits there, so leaving the
+    /// queue is an O(1) `swap_remove`.
+    queue_pos: usize,
     status: JobStatus,
 }
 
@@ -186,20 +198,70 @@ struct ReleaseEntry {
     job: JobId,
 }
 
+/// Job states by slot, stored in fixed-size chunks. A slot never moves,
+/// and growing the slab never reallocates one large block: a single
+/// `Vec<JobState>` doubling to megabytes fragmented the heap enough to
+/// raise peak RSS by 15–20% on workloads that build many machines.
+#[derive(Debug, Default)]
+struct JobSlab {
+    chunks: Vec<Vec<JobState>>,
+    len: usize,
+}
+
+impl JobSlab {
+    /// Jobs per chunk (a chunk is about 50 KiB).
+    const CHUNK: usize = 256;
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, state: JobState) {
+        if self.len.is_multiple_of(Self::CHUNK) {
+            self.chunks.push(Vec::with_capacity(Self::CHUNK));
+        }
+        self.chunks.last_mut().expect("chunk pushed").push(state);
+        self.len += 1;
+    }
+}
+
+impl std::ops::Index<usize> for JobSlab {
+    type Output = JobState;
+
+    fn index(&self, slot: usize) -> &JobState {
+        &self.chunks[slot / Self::CHUNK][slot % Self::CHUNK]
+    }
+}
+
+impl std::ops::IndexMut<usize> for JobSlab {
+    fn index_mut(&mut self, slot: usize) -> &mut JobState {
+        &mut self.chunks[slot / Self::CHUNK][slot % Self::CHUNK]
+    }
+}
+
 /// The resource manager for one scheduling domain.
+///
+/// Job state lives in a dense slab (`jobs`), one entry per submitted job,
+/// indexed by a slot assigned at [`Machine::submit`]. The id → slot map is
+/// consulted only at the id-keyed public entry points; the queue, the
+/// per-iteration order and the pick loop work on slots.
 pub struct Machine {
     config: MachineConfig,
     allocator: Box<dyn NodeAllocator>,
-    states: HashMap<JobId, JobState>,
-    queued: Vec<JobId>,
+    jobs: JobSlab,
+    slots: HashMap<JobId, usize>,
+    /// Slots of queued jobs, in no particular order: policy order is a total
+    /// order over job keys, so it does not depend on this order.
+    queued: Vec<usize>,
     held: Vec<JobId>,
     running: Vec<JobId>,
     finished: Vec<JobRecord>,
-    skip: HashSet<JobId>,
-    pending: Option<JobId>,
+    /// Slot of the picked, not yet committed candidate.
+    pending: Option<usize>,
+    /// Nodes charged to held jobs, kept as a running sum.
+    held_charged: u64,
     held_ledger: u64,
     predictor: Box<dyn WalltimePredictor>,
-    predictions: HashMap<JobId, SimDuration>,
     /// Projected releases of running jobs, kept sorted by `(end, nodes)`:
     /// inserted when a job starts, removed when it finishes, walked in
     /// place by [`Machine::shadow_for`] instead of rebuilding and sorting
@@ -210,16 +272,18 @@ pub struct Machine {
     shadow_scratch: Vec<ProjectedRelease>,
     /// Reused buffers for policy ordering (scores, flags, permutation).
     order_scratch: OrderScratch,
-    /// Policy order computed lazily once per iteration (scores are fixed
-    /// within an iteration because `now` is fixed); the buffer is reused
-    /// across iterations, `iter_order_valid` gates staleness.
-    iter_order: Vec<JobId>,
+    /// Policy order (slots) computed lazily once per iteration (scores are
+    /// fixed within an iteration because `now` is fixed); the buffer is
+    /// reused across iterations, `iter_order_valid` gates staleness.
+    iter_order: Vec<usize>,
     iter_order_valid: bool,
     /// Walk position in `iter_order`. A cursor is semantically equivalent
     /// to rescanning from the top: a yield returns exactly the nodes it
     /// took for this pick, so a job that was blocked earlier in the walk
     /// can never newly fit later in the same iteration — and it turns the
-    /// iteration from O(picks × q log q) into O(q log q).
+    /// iteration from O(picks × q log q) into O(q log q). It also visits
+    /// each queued job at most once per iteration, so a job that yielded
+    /// is skipped for the rest of the iteration without any bookkeeping.
     iter_cursor: usize,
     /// Head-job reservation discovered during this iteration's walk.
     iter_shadow: Option<Shadow>,
@@ -240,16 +304,16 @@ impl Machine {
         Machine {
             config,
             allocator,
-            states: HashMap::new(),
+            jobs: JobSlab::default(),
+            slots: HashMap::new(),
             queued: Vec::new(),
             held: Vec::new(),
             running: Vec::new(),
             finished: Vec::new(),
-            skip: HashSet::new(),
             pending: None,
+            held_charged: 0,
             held_ledger: 0,
             predictor,
-            predictions: HashMap::new(),
             releases: Vec::new(),
             shadow_scratch: Vec::new(),
             order_scratch: OrderScratch::new(),
@@ -285,6 +349,11 @@ impl Machine {
         &self.config
     }
 
+    /// Slot of a submitted job.
+    fn slot(&self, id: JobId) -> Option<usize> {
+        self.slots.get(&id).copied()
+    }
+
     /// Enqueue a job at `now`.
     ///
     /// # Panics
@@ -301,37 +370,58 @@ impl Machine {
             job.id
         );
         let id = job.id;
-        let predicted = self.predictor.predict(&job);
-        self.predictions.insert(id, predicted);
-        let prev = self.states.insert(
-            id,
-            JobState {
-                job,
-                first_ready: None,
-                yields: 0,
-                holds: 0,
-                start: None,
-                alloc: None,
-                charged: 0,
-                hold_since: None,
-                demoted_at: None,
-                projected_end: None,
-                status: JobStatus::Queued,
-            },
-        );
+        let slot = self.jobs.len();
+        let prev = self.slots.insert(id, slot);
         assert!(prev.is_none(), "duplicate submission of job {id}");
-        self.queued.push(id);
+        let planned = self.predictor.predict(&job);
+        self.jobs.push(JobState {
+            job,
+            planned,
+            first_ready: None,
+            yields: 0,
+            holds: 0,
+            start: None,
+            alloc: None,
+            charged: 0,
+            hold_since: None,
+            demoted_at: None,
+            projected_end: None,
+            queue_pos: 0,
+            status: JobStatus::Queued,
+        });
+        self.enqueue(slot);
     }
 
-    /// Begin a scheduling iteration: clears the per-iteration yield skip
-    /// set.
+    /// Put `slot` into the queue.
+    fn enqueue(&mut self, slot: usize) {
+        self.jobs[slot].queue_pos = self.queued.len();
+        self.queued.push(slot);
+    }
+
+    /// Take `slot` out of the queue in O(1): the last queued slot fills its
+    /// place.
+    fn dequeue(&mut self, slot: usize) {
+        let pos = self.jobs[slot].queue_pos;
+        debug_assert_eq!(self.queued[pos], slot, "queue position out of date");
+        self.queued.swap_remove(pos);
+        if let Some(&moved) = self.queued.get(pos) {
+            self.jobs[moved].queue_pos = pos;
+        }
+    }
+
+    /// Whether `slot` sits in the queue (a picked, uncommitted candidate
+    /// reads `Queued` but has left it).
+    fn is_queued(&self, slot: usize) -> bool {
+        self.jobs[slot].status == JobStatus::Queued && self.pending != Some(slot)
+    }
+
+    /// Begin a scheduling iteration.
     pub fn begin_iteration(&mut self) {
         assert!(
             self.pending.is_none(),
             "iteration started with a candidate outstanding"
         );
         self.stats.iterations += 1;
-        self.skip.clear();
         self.iter_order_valid = false;
         self.iter_cursor = 0;
         self.iter_shadow = None;
@@ -349,8 +439,8 @@ impl Machine {
             order_jobs_into(
                 self.config.policy,
                 now,
-                self.queued.iter().map(|id| {
-                    let st = &self.states[id];
+                self.queued.iter().map(|&slot| {
+                    let st = &self.jobs[slot];
                     (
                         &st.job,
                         st.yields as f64 * boost,
@@ -368,15 +458,13 @@ impl Machine {
             self.iter_shadow = None;
         }
         while self.iter_cursor < self.iter_order.len() {
-            let id = self.iter_order[self.iter_cursor];
+            let slot = self.iter_order[self.iter_cursor];
             self.iter_cursor += 1;
-            if self.skip.contains(&id)
-                || self.states.get(&id).map(|st| st.status) != Some(JobStatus::Queued)
-            {
+            let st = &self.jobs[slot];
+            if st.status != JobStatus::Queued {
                 continue;
             }
-            let size = self.states[&id].job.size;
-            let planned = self.planned_runtime(id);
+            let (id, size, planned) = (st.job.id, st.job.size, st.planned);
             let fits = self.allocator.can_fit(size);
             let admitted = match self.iter_shadow {
                 None => fits,
@@ -392,13 +480,13 @@ impl Machine {
                     .alloc(size)
                     .expect("can_fit implies alloc succeeds");
                 let charged = self.allocator.charged_nodes(size);
-                let st = self.states.get_mut(&id).expect("queued job has state");
+                self.dequeue(slot);
+                let st = &mut self.jobs[slot];
                 st.alloc = Some(handle);
                 st.charged = charged;
                 st.first_ready.get_or_insert(now);
-                let pos = self.queued.iter().position(|&q| q == id).expect("queued");
-                self.queued.remove(pos);
-                self.pending = Some(id);
+                let (paired, yields) = (st.job.mate.is_some(), st.yields);
+                self.pending = Some(slot);
                 self.stats.picks += 1;
                 if via_backfill {
                     self.stats.backfill_hits += 1;
@@ -412,7 +500,9 @@ impl Machine {
                     size,
                     charged,
                     via_backfill,
-                    paired: self.states[&id].job.mate.is_some(),
+                    paired,
+                    yields,
+                    slot,
                 });
             }
             if !fits {
@@ -443,25 +533,15 @@ impl Machine {
         None
     }
 
-    /// Planning-time runtime estimate for queued job `id`: the predictor's
-    /// output, capped below by nothing (a job always runs its true runtime;
-    /// planning optimism is acceptable, as in real predictive backfilling).
-    fn planned_runtime(&self, id: JobId) -> SimDuration {
-        self.predictions
-            .get(&id)
-            .copied()
-            .unwrap_or_else(|| self.states[&id].job.walltime)
-    }
-
     /// The queued job a scheduling iteration at `now` would consider first
     /// — the unique minimum under the policy comparator (demotion, then
     /// descending score, then `(submit, id)`). One O(n) scan; equivalent to
     /// sorting and taking the front, without materialising the order.
-    fn policy_head(&self, now: SimTime) -> Option<JobId> {
+    fn policy_head(&self, now: SimTime) -> Option<usize> {
         let boost = self.config.yield_priority_boost;
-        let mut best: Option<(bool, f64, SimTime, JobId)> = None;
-        for id in &self.queued {
-            let st = &self.states[id];
+        let mut best: Option<(bool, f64, SimTime, JobId, usize)> = None;
+        for &slot in &self.queued {
+            let st = &self.jobs[slot];
             let key = (
                 st.demoted_at == Some(now),
                 self.config.policy.score(QueuedView {
@@ -471,6 +551,7 @@ impl Machine {
                 }),
                 st.job.submit,
                 st.job.id,
+                slot,
             );
             let better = match &best {
                 None => true,
@@ -487,7 +568,7 @@ impl Machine {
                 best = Some(key);
             }
         }
-        best.map(|b| b.3)
+        best.map(|b| b.4)
     }
 
     fn shadow_for(&mut self, head_id: JobId, head_size: u64, now: SimTime) -> Shadow {
@@ -597,30 +678,32 @@ impl Machine {
     fn commit_check(&mut self, cand: &Candidate) {
         assert_eq!(
             self.pending,
-            Some(cand.job_id),
+            Some(cand.slot),
             "commit of a stale candidate {:?}",
             cand.job_id
         );
         self.pending = None;
     }
 
+    /// Mark the job in `slot`, which holds its allocation, as running from
+    /// `now` and file its projected release. Returns the completion instant.
+    fn begin_running(&mut self, slot: usize, now: SimTime) -> SimTime {
+        let st = &mut self.jobs[slot];
+        let projected = now + st.planned;
+        st.start = Some(now);
+        st.status = JobStatus::Running;
+        st.projected_end = Some(projected);
+        let (id, nodes, end) = (st.job.id, st.charged, now + st.job.runtime);
+        self.running.push(id);
+        self.insert_release(id, projected, nodes);
+        end
+    }
+
     /// Start a ready candidate now. Returns the completion instant for the
     /// caller to schedule the end event.
     pub fn start(&mut self, cand: Candidate, now: SimTime) -> SimTime {
         self.commit_check(&cand);
-        let projected = now + self.planned_runtime(cand.job_id);
-        let st = self
-            .states
-            .get_mut(&cand.job_id)
-            .expect("candidate has state");
-        st.start = Some(now);
-        st.status = JobStatus::Running;
-        st.projected_end = Some(projected);
-        let nodes = st.charged;
-        let end = now + st.job.runtime;
-        self.running.push(cand.job_id);
-        self.insert_release(cand.job_id, projected, nodes);
-        end
+        self.begin_running(cand.slot, now)
     }
 
     /// Put a ready candidate into hold: it keeps its allocation, blocking
@@ -628,50 +711,46 @@ impl Machine {
     /// [`Machine::release_held`].
     pub fn hold(&mut self, cand: Candidate, now: SimTime) {
         self.commit_check(&cand);
-        let st = self
-            .states
-            .get_mut(&cand.job_id)
-            .expect("candidate has state");
+        let st = &mut self.jobs[cand.slot];
         st.holds += 1;
         st.hold_since = Some(now);
         st.status = JobStatus::Held;
+        self.held_charged += st.charged;
         self.held.push(cand.job_id);
     }
 
-    /// Yield a ready candidate: release its nodes, requeue it, and skip it
-    /// for the remainder of this iteration so other jobs get a chance.
+    /// Yield a ready candidate: release its nodes and requeue it. The
+    /// iteration's walk has passed it, so it is skipped for the remainder
+    /// of this iteration and other jobs get a chance.
     pub fn yield_job(&mut self, cand: Candidate, _now: SimTime) {
         self.commit_check(&cand);
-        let st = self
-            .states
-            .get_mut(&cand.job_id)
-            .expect("candidate has state");
+        let st = &mut self.jobs[cand.slot];
         let handle = st.alloc.take().expect("candidate holds an allocation");
         st.charged = 0;
         st.yields += 1;
         st.status = JobStatus::Queued;
         self.allocator.release(handle);
-        self.skip.insert(cand.job_id);
-        self.queued.push(cand.job_id);
+        self.enqueue(cand.slot);
+    }
+
+    /// Take held job `id` out of hold at `now`, closing its hold interval
+    /// in the ledger. Returns its slot, or `None` if it is not held.
+    fn unhold(&mut self, id: JobId, now: SimTime) -> Option<usize> {
+        let pos = self.held.iter().position(|&h| h == id)?;
+        self.held.remove(pos);
+        let slot = self.slots[&id];
+        let st = &mut self.jobs[slot];
+        let since = st.hold_since.take().expect("held job has hold_since");
+        self.held_ledger += st.charged * (now - since).as_secs();
+        self.held_charged -= st.charged;
+        Some(slot)
     }
 
     /// Start a held job in place (its mate became ready). Returns the
     /// completion instant, or `None` if the job is not held.
     pub fn start_held(&mut self, id: JobId, now: SimTime) -> Option<SimTime> {
-        let pos = self.held.iter().position(|&h| h == id)?;
-        self.held.remove(pos);
-        let projected = now + self.planned_runtime(id);
-        let st = self.states.get_mut(&id).expect("held job has state");
-        let since = st.hold_since.take().expect("held job has hold_since");
-        self.held_ledger += st.charged * (now - since).as_secs();
-        st.start = Some(now);
-        st.status = JobStatus::Running;
-        st.projected_end = Some(projected);
-        let nodes = st.charged;
-        let end = now + st.job.runtime;
-        self.running.push(id);
-        self.insert_release(id, projected, nodes);
-        Some(end)
+        let slot = self.unhold(id, now)?;
+        Some(self.begin_running(slot, now))
     }
 
     /// Force a held job to release its nodes and requeue (the §IV-E1
@@ -679,19 +758,16 @@ impl Machine {
     /// scheduling decisions taken at this instant. Returns `false` if the
     /// job is not held.
     pub fn release_held(&mut self, id: JobId, now: SimTime) -> bool {
-        let Some(pos) = self.held.iter().position(|&h| h == id) else {
+        let Some(slot) = self.unhold(id, now) else {
             return false;
         };
-        self.held.remove(pos);
-        let st = self.states.get_mut(&id).expect("held job has state");
-        let since = st.hold_since.take().expect("held job has hold_since");
-        self.held_ledger += st.charged * (now - since).as_secs();
+        let st = &mut self.jobs[slot];
         let handle = st.alloc.take().expect("held job holds an allocation");
         st.charged = 0;
         st.demoted_at = Some(now);
         st.status = JobStatus::Queued;
         self.allocator.release(handle);
-        self.queued.push(id);
+        self.enqueue(slot);
         true
     }
 
@@ -704,22 +780,15 @@ impl Machine {
     /// admission rule backfilling applies). Returns the completion instant
     /// on success.
     pub fn try_start_direct(&mut self, id: JobId, now: SimTime) -> Option<SimTime> {
-        let pos = self.queued.iter().position(|&q| q == id)?;
-        let handle = self.admit_direct(id, now)?;
-        let charged = self.allocator.charged_nodes(self.states[&id].job.size);
-        let projected = now + self.planned_runtime(id);
-        let st = self.states.get_mut(&id).expect("queued job has state");
+        let slot = self.slot(id)?;
+        let handle = self.admit_direct(slot, now)?;
+        let charged = self.allocator.charged_nodes(self.jobs[slot].job.size);
+        let st = &mut self.jobs[slot];
         st.alloc = Some(handle);
         st.charged = charged;
         st.first_ready.get_or_insert(now);
-        st.start = Some(now);
-        st.status = JobStatus::Running;
-        st.projected_end = Some(projected);
-        let end = now + st.job.runtime;
-        self.queued.remove(pos);
-        self.running.push(id);
-        self.insert_release(id, projected, charged);
-        Some(end)
+        self.dequeue(slot);
+        Some(self.begin_running(slot, now))
     }
 
     /// Non-committing version of [`Machine::try_start_direct`]: would the
@@ -728,7 +797,10 @@ impl Machine {
     /// partition admission needs a trial allocation, which is immediately
     /// released.)
     pub fn can_start_direct(&mut self, id: JobId, now: SimTime) -> bool {
-        match self.admit_direct(id, now) {
+        let Some(slot) = self.slot(id) else {
+            return false;
+        };
+        match self.admit_direct(slot, now) {
             Some(handle) => {
                 self.allocator.release(handle);
                 true
@@ -738,30 +810,32 @@ impl Machine {
     }
 
     /// Shared admission logic: allocate nodes for a direct (out-of-
-    /// iteration) start of queued job `id` if a regular scheduling
+    /// iteration) start of the queued job in `slot` if a regular scheduling
     /// iteration could have started it. Returns the allocation on success;
     /// the caller either commits it or releases it.
-    fn admit_direct(&mut self, id: JobId, now: SimTime) -> Option<AllocHandle> {
+    fn admit_direct(&mut self, slot: usize, now: SimTime) -> Option<AllocHandle> {
         if self.pending.is_some() {
             // Mid-iteration re-entrance cannot happen in the simulator (the
             // driver serialises RPCs between pick/commit), but guard anyway.
             return None;
         }
-        self.queued.iter().position(|&q| q == id)?;
-        let size = self.states[&id].job.size;
+        if !self.is_queued(slot) {
+            return None;
+        }
+        let size = self.jobs[slot].job.size;
         if !self.allocator.can_fit(size) {
             return None;
         }
         // Identify the policy head among queued jobs.
-        let head = self.policy_head(now).expect("queue holds at least `id`");
+        let head = self.policy_head(now).expect("queue holds at least `slot`");
 
-        let handle = if head == id {
+        let handle = if head == slot {
             self.allocator.alloc(size).expect("can_fit implies alloc")
         } else {
             if !self.config.backfill {
                 return None;
             }
-            let head_size = self.states[&head].job.size;
+            let (head_id, head_size) = (self.jobs[head].job.id, self.jobs[head].job.size);
             if self.allocator.can_fit(head_size) {
                 // The head could start right now; the mate may slip in only
                 // if the head remains startable afterwards.
@@ -775,8 +849,8 @@ impl Machine {
             } else {
                 // Head is blocked: honour its reservation like any
                 // backfill candidate.
-                let shadow = self.shadow_for(head, head_size, now);
-                let planned = self.planned_runtime(id);
+                let shadow = self.shadow_for(head_id, head_size, now);
+                let planned = self.jobs[slot].planned;
                 if !shadow.admits(self.allocator.charged_nodes(size), now + planned) {
                     return None;
                 }
@@ -799,7 +873,7 @@ impl Machine {
             .position(|&r| r == id)
             .unwrap_or_else(|| panic!("finish of non-running job {id}"));
         self.running.remove(pos);
-        let st = self.states.get_mut(&id).expect("running job has state");
+        let st = &mut self.jobs[self.slots[&id]];
         let handle = st.alloc.take().expect("running job holds an allocation");
         self.allocator.release(handle);
         st.status = JobStatus::Finished;
@@ -808,11 +882,7 @@ impl Machine {
             .projected_end
             .take()
             .expect("running job has a projected end");
-        let nodes = st.charged;
         self.predictor.observe(&st.job, st.job.runtime);
-        self.predictions.remove(&id);
-        self.remove_release(id, projected, nodes);
-        let st = self.states.get_mut(&id).expect("running job has state");
         self.finished.push(JobRecord {
             id,
             machine: self.config.machine,
@@ -827,35 +897,42 @@ impl Machine {
             yields: st.yields,
             holds: st.holds,
         });
+        let nodes = st.charged;
+        self.remove_release(id, projected, nodes);
     }
 
     /// Lifecycle stage of `id` as seen by the protocol.
     pub fn status(&self, id: JobId) -> JobStatus {
-        self.states
-            .get(&id)
-            .map_or(JobStatus::Unsubmitted, |st| st.status)
+        self.slot(id)
+            .map_or(JobStatus::Unsubmitted, |slot| self.jobs[slot].status)
     }
 
     /// The job object, if submitted here.
     pub fn job(&self, id: JobId) -> Option<&Job> {
-        self.states.get(&id).map(|st| &st.job)
+        self.slot(id).map(|slot| &self.jobs[slot].job)
+    }
+
+    /// The job object of a candidate this machine handed out (no id
+    /// lookup).
+    pub fn candidate_job(&self, cand: &Candidate) -> &Job {
+        &self.jobs[cand.slot].job
     }
 
     /// Number of yields job `id` has performed so far.
     pub fn yields_of(&self, id: JobId) -> u32 {
-        self.states.get(&id).map_or(0, |st| st.yields)
+        self.slot(id).map_or(0, |slot| self.jobs[slot].yields)
     }
 
     /// When job `id` started, if it has (running or finished).
     pub fn start_of(&self, id: JobId) -> Option<SimTime> {
-        self.states.get(&id).and_then(|st| st.start)
+        self.slot(id).and_then(|slot| self.jobs[slot].start)
     }
 
     /// When job `id` entered its current hold episode, if it is held.
     /// Drivers use this to discard stale hold-release timers: a timer armed
     /// for an earlier episode no longer matches.
     pub fn hold_since(&self, id: JobId) -> Option<SimTime> {
-        self.states.get(&id).and_then(|st| st.hold_since)
+        self.slot(id).and_then(|slot| self.jobs[slot].hold_since)
     }
 
     /// Currently held job ids, in hold order.
@@ -863,10 +940,10 @@ impl Machine {
         &self.held
     }
 
-    /// Currently queued job ids (unsorted; policy order is computed per
+    /// Currently queued jobs (unsorted; policy order is computed per
     /// iteration).
-    pub fn queued_jobs(&self) -> &[JobId] {
-        &self.queued
+    pub fn queued_jobs(&self) -> impl ExactSizeIterator<Item = &Job> + '_ {
+        self.queued.iter().map(|&slot| &self.jobs[slot].job)
     }
 
     /// Currently running job ids.
@@ -886,7 +963,7 @@ impl Machine {
 
     /// Nodes currently blocked by held jobs (allocator-charged).
     pub fn held_nodes(&self) -> u64 {
-        self.held.iter().map(|id| self.states[id].charged).sum()
+        self.held_charged
     }
 
     /// Fraction of capacity currently blocked by holds, in `[0, 1]`.
@@ -901,7 +978,7 @@ impl Machine {
             .held
             .iter()
             .map(|id| {
-                let st = &self.states[id];
+                let st = &self.jobs[self.slots[id]];
                 st.charged * (now - st.hold_since.expect("held job has hold_since")).as_secs()
             })
             .sum();
@@ -1321,5 +1398,67 @@ mod tests {
         );
         assert!(trace.iter().any(|e| e.kind() == "sched-alloc-fail"));
         assert!(m.take_trace().is_empty(), "take_trace drains the log");
+    }
+
+    #[test]
+    fn sparse_huge_and_unordered_ids_map_to_their_own_state() {
+        // SWF files carry arbitrary job numbers: far apart, near u64::MAX,
+        // and submitted out of id order.
+        let ids = [u64::MAX, 7, 1 << 40, 0, u64::MAX - 1, 3_000_000_017];
+        let mut m = machine(1_000);
+        for (i, &id) in ids.iter().enumerate() {
+            m.submit(job(id, i as u64, 10 + i as u64, 100, 100), t(i as u64));
+        }
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(m.status(JobId(id)), JobStatus::Queued);
+            assert_eq!(m.job(JobId(id)).map(|j| j.size), Some(10 + i as u64));
+        }
+        assert_eq!(m.queued_jobs().len(), ids.len());
+        m.begin_iteration();
+        let c = m.pick_next(t(10)).unwrap();
+        assert_eq!(c.job_id, JobId(u64::MAX), "FCFS: first submitted first");
+        assert_eq!(m.candidate_job(&c).id, c.job_id);
+        m.hold(c, t(10));
+        assert_eq!(m.held_nodes(), 10);
+        assert!(m.try_start_direct(JobId(1 << 40), t(11)).is_some());
+        assert_eq!(m.status(JobId(1 << 40)), JobStatus::Running);
+        assert!(m.start_held(JobId(u64::MAX), t(12)).is_some());
+        assert_eq!(m.held_nodes(), 0);
+        m.finish(JobId(1 << 40), t(111));
+        m.finish(JobId(u64::MAX), t(112));
+        let finished: Vec<u64> = m.records().iter().map(|r| r.id.0).collect();
+        assert_eq!(finished, [1 << 40, u64::MAX]);
+        assert_eq!(m.records()[0].size, 12);
+    }
+
+    #[test]
+    fn unknown_ids_read_unsubmitted() {
+        let mut m = machine(10);
+        m.submit(job(5, 0, 5, 10, 10), t(0));
+        for id in [0, 4, 6, u64::MAX] {
+            assert_eq!(m.status(JobId(id)), JobStatus::Unsubmitted);
+            assert!(m.job(JobId(id)).is_none());
+            assert_eq!(m.yields_of(JobId(id)), 0);
+            assert!(m.start_of(JobId(id)).is_none());
+            assert!(m.hold_since(JobId(id)).is_none());
+            assert!(m.try_start_direct(JobId(id), t(0)).is_none());
+            assert!(!m.can_start_direct(JobId(id), t(0)));
+            assert!(m.start_held(JobId(id), t(0)).is_none());
+            assert!(!m.release_held(JobId(id), t(0)));
+        }
+        assert_eq!(m.status(JobId(5)), JobStatus::Queued);
+    }
+
+    #[test]
+    fn candidate_carries_yields_so_far() {
+        let mut m = machine(100);
+        m.submit(job(1, 0, 60, 100, 100), t(0));
+        for expected in 0..3 {
+            m.begin_iteration();
+            let c = m.pick_next(t(expected)).unwrap();
+            assert_eq!(c.yields, expected as u32);
+            m.yield_job(c, t(expected));
+        }
+        assert_eq!(m.yields_of(JobId(1)), 3);
     }
 }

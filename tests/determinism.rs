@@ -103,6 +103,50 @@ fn traces_are_byte_identical_across_runs() {
     }
 }
 
+/// Profiling is an observer: teeing a `PhaseClock` behind a JSONL sink
+/// leaves the trace bytes and the report exactly as without it, while the
+/// clock still sees every profiled phase.
+#[test]
+fn teed_phase_clock_keeps_trace_and_report_identical() {
+    use coupled_cosched::obs::PhaseClock;
+    let sink = || SinkObserver::new(JsonlSink::new(Vec::new()));
+    let plain = CoupledSimulation::with_observer(config(SchemeCombo::HY), workload(13), sink())
+        .run_traced();
+    let teed = CoupledSimulation::with_observer(
+        config(SchemeCombo::HY),
+        workload(13),
+        TeeObserver::new(sink(), PhaseClock::new()),
+    )
+    .run_traced();
+    let plain_bytes = plain.observer.into_sink().into_inner();
+    assert!(!plain_bytes.is_empty());
+    assert_eq!(
+        plain_bytes,
+        teed.observer.first.into_sink().into_inner(),
+        "teeing the phase clock must not perturb the trace"
+    );
+    assert_eq!(plain.report.records, teed.report.records);
+    assert_eq!(plain.report.stats, teed.report.stats);
+    assert_eq!(plain.report.sched_stats, teed.report.sched_stats);
+    assert_eq!(plain.report.metrics, teed.report.metrics);
+    assert_eq!(plain.report.events, teed.report.events);
+
+    let clock = &teed.observer.second;
+    let calls = |phase: &str| {
+        clock
+            .profile()
+            .iter()
+            .find(|p| p.phase == phase)
+            .map_or(0, |p| p.calls)
+    };
+    assert_eq!(
+        calls("scheduler-iteration"),
+        teed.report.metrics.counter("sched.iterations")
+    );
+    assert_eq!(calls("rpc-call"), teed.report.stats.rpc_calls);
+    assert_eq!(clock.rpc_latency().count, teed.report.stats.rpc_calls);
+}
+
 #[test]
 fn metrics_snapshots_are_identical_across_runs() {
     for combo in SchemeCombo::ALL {
