@@ -25,6 +25,10 @@
 //! [`CoschedConfig::max_held_fraction`] becomes a yield, and a yield by a
 //! job that has already yielded [`CoschedConfig::max_yields_before_hold`]
 //! times becomes a hold.
+//!
+//! Beside it, over the same protocol, sit the §VI rules: [`run_group`] for
+//! co-start groups of three or more members and [`run_within`] for a soft
+//! (`StartWithin`) co-start.
 
 use crate::config::{CoschedConfig, Scheme};
 use cosched_obs::TraceEvent;
@@ -142,10 +146,7 @@ where
                 }
             } else {
                 // Lines 16–23, with the §IV-E2 scheme modifications.
-                match effective_scheme(cfg, ctx, &mut trace) {
-                    Scheme::Hold => Decision::Hold,
-                    Scheme::Yield => Decision::Yield,
-                }
+                wait(cfg, ctx, &mut trace)
             }
         }
 
@@ -155,6 +156,94 @@ where
 
         // Lines 25–26: status unknown ⇒ start normally.
         MateStatus::Unknown => Decision::START,
+    }
+}
+
+/// The co-start rule of a group of three or more members, one per machine
+/// (§VI's N-way coscheduling), over the same protocol: probe every other
+/// member, and start them all only if all of them can start now.
+///
+/// `others` lists the other members as `(machine, job)`; `remote(machine,
+/// request)` issues one call to that machine. Per member, in order:
+///
+/// * holding → to be started in place (`StartJob`);
+/// * queued and admissible now (`CanStart`) → to be direct-started
+///   (`TryStartMate`);
+/// * queued but not admissible, or not yet submitted → the group is not
+///   ready: hold or yield per the local scheme (with the §IV-E2 changes);
+/// * running or finished → the rendezvous is missed: start normally;
+/// * status unknown or machine unreachable → start normally (lines 25–31).
+///
+/// The starts are issued only after every member passed the probe. A group
+/// has at most one member per machine, so starting one member cannot
+/// invalidate another's admission. The local start is the caller's; the
+/// members' starts are reported by their own machines, so the decision
+/// names no single mate.
+pub fn run_group<R, T>(
+    cfg: &CoschedConfig,
+    ctx: &LocalContext<'_>,
+    others: &[(usize, JobId)],
+    mut remote: R,
+    mut trace: T,
+) -> Decision
+where
+    R: FnMut(usize, &Request) -> Result<Response, ProtoError>,
+    T: FnMut(TraceEvent),
+{
+    if !cfg.enabled {
+        return Decision::START;
+    }
+    let mut starts = Vec::with_capacity(others.len());
+    for &(m, job) in others {
+        let status =
+            remote(m, &Request::GetMateStatus { job }).map_or(MateStatus::Unknown, |r| r.status());
+        let start = match status {
+            MateStatus::Holding => Request::StartJob { job },
+            MateStatus::Queuing => match remote(m, &Request::CanStart { job }) {
+                Ok(Response::CanStart(true)) => Request::TryStartMate { job },
+                Ok(Response::CanStart(false)) => return wait(cfg, ctx, &mut trace),
+                _ => return Decision::START,
+            },
+            MateStatus::Unsubmitted => return wait(cfg, ctx, &mut trace),
+            MateStatus::Running | MateStatus::Finished | MateStatus::Unknown => {
+                return Decision::START
+            }
+        };
+        starts.push((m, start));
+    }
+    for (m, req) in &starts {
+        // A failed start cannot be undone on the members already started;
+        // the local job runs either way, as in Algorithm 1 lines 6–9.
+        let _ = remote(*m, req);
+    }
+    Decision::START
+}
+
+/// `StartWithin` on a pair (a soft co-start): start now, and bring the
+/// partner along if it can start too — `StartJob` starts it whether it is
+/// held or queued. Never waits: the window is graded, not enforced.
+pub fn run_within<R>(cfg: &CoschedConfig, partner: JobId, mut remote: R) -> Decision
+where
+    R: FnMut(&Request) -> Result<Response, ProtoError>,
+{
+    if !cfg.enabled {
+        return Decision::START;
+    }
+    let started = remote(&Request::StartJob { job: partner }).is_ok_and(|r| r.started());
+    Decision::Start {
+        mate_started: started.then_some(partner),
+    }
+}
+
+/// Hold or yield a job whose rendezvous is not ready (lines 16–23).
+fn wait(
+    cfg: &CoschedConfig,
+    ctx: &LocalContext<'_>,
+    trace: &mut impl FnMut(TraceEvent),
+) -> Decision {
+    match effective_scheme(cfg, ctx, trace) {
+        Scheme::Hold => Decision::Hold,
+        Scheme::Yield => Decision::Yield,
     }
 }
 
@@ -460,6 +549,95 @@ mod tests {
         ]);
         let d = run_job(&cfg, &c, script.remote());
         assert_eq!(d, Decision::Yield);
+    }
+
+    /// Scripted multi-machine remote for the group rule.
+    fn group_script(
+        script: &mut Script,
+    ) -> impl FnMut(usize, &Request) -> Result<Response, ProtoError> + '_ {
+        let mut remote = script.remote();
+        move |_, req| remote(req)
+    }
+
+    #[test]
+    fn group_probes_every_member_before_starting_any() {
+        let j = job(1, true);
+        let cfg = CoschedConfig::paper(Scheme::Hold);
+        let mut script = Script::new(vec![
+            Ok(Response::MateStatus(MateStatus::Holding)),
+            Ok(Response::MateStatus(MateStatus::Queuing)),
+            Ok(Response::CanStart(true)),
+            Ok(Response::Started(true)),
+            Ok(Response::Started(true)),
+        ]);
+        let others = [(1, JobId(1)), (2, JobId(2))];
+        let d = run_group(&cfg, &ctx(&j), &others, group_script(&mut script), |_| {});
+        assert_eq!(d, Decision::START);
+        assert_eq!(
+            script.seen,
+            vec![
+                Request::GetMateStatus { job: JobId(1) },
+                Request::GetMateStatus { job: JobId(2) },
+                Request::CanStart { job: JobId(2) },
+                Request::StartJob { job: JobId(1) },
+                Request::TryStartMate { job: JobId(2) },
+            ]
+        );
+    }
+
+    #[test]
+    fn group_not_ready_waits_without_starting_anyone() {
+        for (last, scheme, expect) in [
+            (MateStatus::Unsubmitted, Scheme::Hold, Decision::Hold),
+            (MateStatus::Unsubmitted, Scheme::Yield, Decision::Yield),
+            (MateStatus::Running, Scheme::Hold, Decision::START),
+            (MateStatus::Unknown, Scheme::Hold, Decision::START),
+        ] {
+            let j = job(1, true);
+            let cfg = CoschedConfig::paper(scheme);
+            let mut script = Script::new(vec![
+                Ok(Response::MateStatus(MateStatus::Holding)),
+                Ok(Response::MateStatus(last)),
+            ]);
+            let others = [(1, JobId(1)), (2, JobId(2))];
+            let d = run_group(&cfg, &ctx(&j), &others, group_script(&mut script), |_| {});
+            assert_eq!(d, expect, "{last:?} {scheme:?}");
+            assert_eq!(script.seen.len(), 2, "no start issued for {last:?}");
+        }
+    }
+
+    #[test]
+    fn group_member_not_admissible_waits() {
+        let j = job(1, true);
+        let cfg = CoschedConfig::paper(Scheme::Hold);
+        let mut script = Script::new(vec![
+            Ok(Response::MateStatus(MateStatus::Queuing)),
+            Ok(Response::CanStart(false)),
+        ]);
+        let d = run_group(
+            &cfg,
+            &ctx(&j),
+            &[(1, JobId(1))],
+            group_script(&mut script),
+            |_| {},
+        );
+        assert_eq!(d, Decision::Hold);
+    }
+
+    #[test]
+    fn within_brings_the_partner_if_it_can_start_and_never_waits() {
+        for (started, expect) in [(true, Some(JobId(1))), (false, None)] {
+            let cfg = CoschedConfig::paper(Scheme::Hold);
+            let mut script = Script::new(vec![Ok(Response::Started(started))]);
+            let d = run_within(&cfg, JobId(1), script.remote());
+            assert_eq!(
+                d,
+                Decision::Start {
+                    mate_started: expect
+                }
+            );
+            assert_eq!(script.seen, vec![Request::StartJob { job: JobId(1) }]);
+        }
     }
 
     #[test]

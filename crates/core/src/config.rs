@@ -152,6 +152,28 @@ pub struct CoupledConfig {
     pub max_events: u64,
 }
 
+/// Configuration of a coupled system of k ≥ 2 machines, slot `m` of each
+/// vector describing machine `m`. A [`CoupledConfig`] is the k = 2 case.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NwayConfig {
+    /// One resource-manager configuration per machine.
+    pub machines: Vec<MachineConfig>,
+    /// One local coscheduling configuration per machine.
+    pub cosched: Vec<CoschedConfig>,
+    /// Event-loop safety valve (see [`CoupledConfig::max_events`]).
+    pub max_events: u64,
+}
+
+impl From<CoupledConfig> for NwayConfig {
+    fn from(c: CoupledConfig) -> Self {
+        NwayConfig {
+            machines: c.machines.into(),
+            cosched: c.cosched.into(),
+            max_events: c.max_events,
+        }
+    }
+}
+
 impl CoupledConfig {
     /// The paper's §V-A setup: Intrepid (machine 0) coupled with Eureka
     /// (machine 1), WFP + backfilling on both, the given scheme combination,

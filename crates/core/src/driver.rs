@@ -2,16 +2,24 @@
 //!
 //! Reproduces the evaluation vehicle of §V-A: Qsim (the event-driven
 //! simulator shipped with Cobalt) "extended … to support multi-domain
-//! coscheduling simulation". Both machines' resource managers run inside
+//! coscheduling simulation". Every machine's resource manager runs inside
 //! one deterministic event loop; coordination between them goes through the
 //! protocol vocabulary of `cosched-proto`, so the simulator exercises the
 //! same `Run_Job` code path a live deployment uses.
 //!
 //! Events are job arrivals, job completions, and hold-release timers (the
 //! deadlock breaker). Every event triggers a scheduling iteration on its
-//! machine; each ready candidate passes through Algorithm 1, which may make
-//! protocol calls that start jobs on the *other* machine (the simultaneous
-//! pair start).
+//! machine; each ready candidate passes through its rendezvous rule, which
+//! may make protocol calls that start jobs on *other* machines (the
+//! simultaneous start):
+//!
+//! * a mate pair — the paper's setting, and the k = 2 case of a co-start
+//!   group — runs Algorithm 1 ([`run_job_traced`]);
+//! * a co-start group of three or more members on k machines (§VI) runs the
+//!   probe-then-commit rule [`run_group`];
+//! * a `StartWithin` pair (§VI temporal constraints) runs [`run_within`];
+//!   a `StartAfter` successor is withheld from submission until its
+//!   predecessor has run for the minimum delay.
 //!
 //! Termination: the loop ends when the event queue drains. If jobs remain
 //! unfinished at that point, the run **deadlocked** — exactly the
@@ -19,9 +27,11 @@
 //! enhancement ("the job queues on both machines keep growing, but no job
 //! can start").
 
-use crate::algorithm::{run_job_traced, Decision, LocalContext};
-use crate::config::CoupledConfig;
+use crate::algorithm::{run_group, run_job_traced, run_within, Decision, LocalContext};
+use crate::config::{CoupledConfig, NwayConfig};
+use crate::nway::{GroupRegistry, NwayReport};
 use crate::registry::MateRegistry;
+use crate::temporal::{self, ConstraintInstance, TemporalConstraint, TemporalReport};
 use cosched_metrics::{JobRecord, MachineSummary};
 use cosched_obs::trace::RpcKind;
 use cosched_obs::{
@@ -31,7 +41,7 @@ use cosched_obs::{
 use cosched_proto::{MateStatus, ProtoError, Request, Response};
 use cosched_sched::{JobStatus, Machine, SchedStats};
 use cosched_sim::{EventQueue, SimDuration, SimTime};
-use cosched_workload::{Job, JobId, Trace};
+use cosched_workload::{Job, JobId, MachineId, Trace};
 use std::collections::{HashMap, HashSet};
 
 /// Events driving the coupled simulation.
@@ -47,6 +57,9 @@ enum Event {
     /// mates can use it — a per-job timer would free and instantly re-grab
     /// the same nodes, and the circular wait would persist.
     ReleaseSweep { m: usize },
+    /// A withheld `StartAfter` successor (machine-1 trace job `idx`) is
+    /// submitted: its predecessor started `min_delay` ago.
+    Successor { idx: usize },
 }
 
 /// How the pairs that did synchronize committed their rendezvous.
@@ -80,7 +93,7 @@ pub struct RunStats {
     pub escalations: u64,
     /// Release sweeps that actually force-released holds (§IV-E1).
     pub release_sweeps: u64,
-    /// Protocol requests issued between the two domains.
+    /// Protocol requests issued between the domains.
     pub rpc_calls: u64,
     /// Requests that failed with a transport error (down peer or injected
     /// timeout); the caller falls back to start-normally fault tolerance.
@@ -90,10 +103,10 @@ pub struct RunStats {
 /// Everything a run produces: the deterministic report and the observer
 /// (to read back a sink). The driver reads no wall clock; a wall-clock
 /// profile comes from attaching a `cosched_obs::PhaseClock` observer.
-pub struct RunArtifacts<O> {
+pub struct RunArtifacts<O, R = SimulationReport> {
     /// The deterministic simulation outcome.
-    pub report: SimulationReport,
-    /// The observer handed to [`CoupledSimulation::with_observer`].
+    pub report: R,
+    /// The observer the simulation was built with.
     pub observer: O,
 }
 
@@ -152,6 +165,16 @@ impl SimulationReport {
     }
 }
 
+/// The rendezvous rule of a ready job that is not a plain mate-pair member.
+#[derive(Debug, Clone)]
+enum Rule {
+    /// Member of a co-start group of three or more: the other members as
+    /// `(machine, job)`.
+    Group(Vec<(usize, JobId)>),
+    /// `StartWithin` partner on machine `.0`.
+    Within(usize, JobId),
+}
+
 /// Open-span bookkeeping for causal tracing. Span ids are dense and
 /// assigned in emission order from deterministic state only, so same-seed
 /// runs produce byte-identical span records. Populated only while the
@@ -177,7 +200,7 @@ impl SpanBook {
     }
 }
 
-/// The coupled simulator: two machines, one event loop, protocol-mediated
+/// The coupled simulator: k ≥ 2 machines, one event loop, protocol-mediated
 /// coordination.
 ///
 /// Generic over an [`Observer`] receiving the structured trace-event stream;
@@ -185,23 +208,37 @@ impl SpanBook {
 /// path away. Observers are pure consumers: attaching one cannot change the
 /// simulation outcome.
 pub struct CoupledSimulation<O: Observer = NoopObserver> {
-    config: CoupledConfig,
-    machines: [Machine; 2],
-    jobs: [Vec<Job>; 2],
-    registry: MateRegistry,
+    config: NwayConfig,
+    machines: Vec<Machine>,
+    jobs: Vec<Vec<Job>>,
+    /// Co-start pairs, decided by Algorithm 1 (also answers `GetMateJob`).
+    mates: MateRegistry,
+    /// Co-start groups as registered (pairs included), for group spreads.
+    groups: GroupRegistry,
+    /// Temporal constraints between machine-0 and machine-1 jobs.
+    constraints: Vec<ConstraintInstance>,
+    /// Rules of group members and `StartWithin` jobs by (machine, job);
+    /// empty in a mate-pair run.
+    rules: HashMap<(usize, JobId), Rule>,
+    /// `StartAfter` lower bounds: machine-1 successor → (machine-0
+    /// predecessor, minimum delay).
+    gates: HashMap<JobId, (JobId, SimDuration)>,
+    /// Withheld successors (machine-1 trace indices) by their not yet
+    /// started predecessor.
+    parked: HashMap<JobId, Vec<usize>>,
     queue: EventQueue<Event>,
     now: SimTime,
     events: u64,
     forced_releases: u64,
     /// Fault injection: when false, protocol calls *to* machine `m` fail
     /// with a transport error.
-    reachable: [bool; 2],
+    reachable: Vec<bool>,
     /// Fault injection: jobs whose status reads back as `Unknown`
     /// ("the mate job fails alone").
     unknown_status: HashSet<(usize, JobId)>,
     /// Whether a release sweep is currently scheduled per machine. Sweeps
     /// self-re-arm only while holds exist, so the event loop terminates.
-    sweep_armed: [bool; 2],
+    sweep_armed: Vec<bool>,
     /// Rendezvous audit: pairs committed via a hold anchor (`StartJob` on a
     /// held mate), keyed by the started job's `(machine, id)`.
     anchored_pairs: HashSet<(usize, JobId)>,
@@ -209,7 +246,7 @@ pub struct CoupledSimulation<O: Observer = NoopObserver> {
     direct_pairs: HashSet<(usize, JobId)>,
     /// Fault injection: `GetMateStatus` calls to machine `m` time out, so
     /// the caller sees `MateStatus::Unknown` and starts normally.
-    status_timeout: [bool; 2],
+    status_timeout: Vec<bool>,
     /// Deterministic run counters (always on).
     stats: RunStats,
     /// Causal-span bookkeeping; empty unless the observer is active.
@@ -226,6 +263,46 @@ impl CoupledSimulation {
     pub fn new(config: CoupledConfig, traces: [Trace; 2]) -> Self {
         Self::with_observer(config, traces, NoopObserver)
     }
+
+    /// Build a k-machine simulation whose rendezvous are co-start groups
+    /// (see [`CoupledSimulation::with_groups`]).
+    pub fn nway(config: NwayConfig, traces: Vec<Trace>, groups: GroupRegistry) -> Self {
+        Self::with_groups(config, traces, groups, NoopObserver)
+    }
+
+    /// Build a two-machine simulation whose rendezvous are temporal
+    /// constraints between machine-0 job `a` and machine-1 job `b`:
+    /// `CoStart` is a mate pair, `StartWithin` brings the partner along
+    /// without waiting, and a `StartAfter` successor is withheld until its
+    /// predecessor has run for `min_delay`. Run it with
+    /// [`CoupledSimulation::run_temporal`].
+    ///
+    /// # Panics
+    /// Panics if a trace's machine id does not match its config slot, a
+    /// constraint references a missing job, or a job has two
+    /// decision-driving constraints.
+    pub fn temporal(
+        config: CoupledConfig,
+        mut traces: [Trace; 2],
+        constraints: Vec<ConstraintInstance>,
+    ) -> Self {
+        let mates = temporal::co_start_pairs(&constraints, &mut traces);
+        let mut sim = Self::build(config.into(), traces.into(), mates, NoopObserver);
+        for c in &constraints {
+            match c.constraint {
+                TemporalConstraint::CoStart => {}
+                TemporalConstraint::StartWithin { .. } => {
+                    sim.rules.insert((0, c.a), Rule::Within(1, c.b));
+                    sim.rules.insert((1, c.b), Rule::Within(0, c.a));
+                }
+                TemporalConstraint::StartAfter { min_delay, .. } => {
+                    sim.gates.insert(c.b, (c.a, min_delay));
+                }
+            }
+        }
+        sim.constraints = constraints;
+        sim
+    }
 }
 
 impl<O: Observer> CoupledSimulation<O> {
@@ -235,6 +312,49 @@ impl<O: Observer> CoupledSimulation<O> {
     /// Panics if a trace's machine id does not match its config slot or the
     /// pairing between the traces is invalid.
     pub fn with_observer(config: CoupledConfig, traces: [Trace; 2], observer: O) -> Self {
+        let mates = MateRegistry::from_traces(&traces[0], &traces[1]);
+        Self::build(config.into(), traces.into(), mates, observer)
+    }
+
+    /// Build a k-machine simulation (traces in machine order) whose
+    /// rendezvous are co-start groups: a two-member group is a mate pair
+    /// (Algorithm 1), a larger one uses [`run_group`]. Ring mate references
+    /// are stamped onto the traces so records carry the `paired` flag. Run
+    /// it with [`CoupledSimulation::run_nway`].
+    ///
+    /// # Panics
+    /// Panics on config/trace arity or order mismatch, fewer than two
+    /// machines, or a group member missing from its trace.
+    pub fn with_groups(
+        config: NwayConfig,
+        mut traces: Vec<Trace>,
+        groups: GroupRegistry,
+        observer: O,
+    ) -> Self {
+        groups.stamp_rings(&mut traces);
+        let mut mates = MateRegistry::new();
+        for members in groups.iter().filter(|g| g.len() == 2) {
+            mates.insert_pair(members[0], members[1]);
+        }
+        let mut sim = Self::build(config, traces, mates, observer);
+        for members in groups.iter().filter(|g| g.len() > 2) {
+            let slots: Vec<(usize, JobId)> =
+                members.iter().map(|&(mm, j)| (sim.slot(mm), j)).collect();
+            for (i, &member) in slots.iter().enumerate() {
+                let mut others = slots.clone();
+                others.remove(i);
+                sim.rules.insert(member, Rule::Group(others));
+            }
+        }
+        sim.groups = groups;
+        sim
+    }
+
+    fn build(config: NwayConfig, traces: Vec<Trace>, mates: MateRegistry, observer: O) -> Self {
+        let k = config.machines.len();
+        assert!(k >= 2, "a coupled system needs at least two machines");
+        assert_eq!(traces.len(), k, "one trace per machine");
+        assert_eq!(config.cosched.len(), k, "one cosched config per machine");
         for (i, t) in traces.iter().enumerate() {
             assert_eq!(
                 t.machine(),
@@ -244,36 +364,46 @@ impl<O: Observer> CoupledSimulation<O> {
                 config.machines[i].machine
             );
         }
-        let registry = MateRegistry::from_traces(&traces[0], &traces[1]);
-        let mut machines = [
-            Machine::new(config.machines[0].clone()),
-            Machine::new(config.machines[1].clone()),
-        ];
+        let mut machines: Vec<Machine> =
+            config.machines.iter().cloned().map(Machine::new).collect();
         if observer.active() {
             for m in &mut machines {
                 m.set_tracing(true);
             }
         }
-        let [ta, tb] = traces;
         CoupledSimulation {
-            config,
             machines,
-            jobs: [ta.into_jobs(), tb.into_jobs()],
-            registry,
+            jobs: traces.into_iter().map(Trace::into_jobs).collect(),
+            mates,
+            groups: GroupRegistry::new(),
+            constraints: Vec::new(),
+            rules: HashMap::new(),
+            gates: HashMap::new(),
+            parked: HashMap::new(),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             events: 0,
             forced_releases: 0,
-            reachable: [true, true],
+            reachable: vec![true; k],
             unknown_status: HashSet::new(),
-            sweep_armed: [false, false],
+            sweep_armed: vec![false; k],
             anchored_pairs: HashSet::new(),
             direct_pairs: HashSet::new(),
-            status_timeout: [false, false],
+            status_timeout: vec![false; k],
             stats: RunStats::default(),
             spans: SpanBook::default(),
             observer,
+            config,
         }
+    }
+
+    /// The slot of machine `id` in this system.
+    fn slot(&self, id: MachineId) -> usize {
+        self.config
+            .machines
+            .iter()
+            .position(|c| c.machine == id)
+            .unwrap_or_else(|| panic!("{id} is not part of this coupled system"))
     }
 
     /// Fault injection: make protocol calls to machine `m` fail (simulates
@@ -309,21 +439,23 @@ impl<O: Observer> CoupledSimulation<O> {
         }
     }
 
-    /// Canonical pair key for a paired job on machine `m`:
-    /// (machine-0 member id, machine-1 member id).
-    fn pair_key(&self, m: usize, job: &Job) -> Option<(u64, u64)> {
-        let mate = job.mate.as_ref()?;
-        Some(if m == 0 {
-            (job.id.0, mate.job.0)
-        } else {
-            (mate.job.0, job.id.0)
-        })
+    /// Canonical pair key for a mate-pair member on machine `m`:
+    /// (machine-0 member id, machine-1 member id). A pair root span names
+    /// exactly these two machines, so a k-way run's pairs between other
+    /// machines get none.
+    fn pair_key(&self, m: usize, job: JobId) -> Option<(u64, u64)> {
+        let mate = self.mates.mate_of(self.config.machines[m].machine, job)?;
+        match (m, self.slot(mate.machine)) {
+            (0, 1) => Some((job.0, mate.job.0)),
+            (1, 0) => Some((mate.job.0, job.0)),
+            _ => None,
+        }
     }
 
     /// Open the pair's root span at the first submit of either member. The
     /// span belongs to no single machine ([`GLOBAL`]): the rendezvous is a
     /// cross-machine lifetime, closed only when both members have started.
-    fn span_open_pair(&mut self, m: usize, job: &Job) {
+    fn span_open_pair(&mut self, m: usize, job: JobId) {
         if !self.observer.active() {
             return;
         }
@@ -351,15 +483,27 @@ impl<O: Observer> CoupledSimulation<O> {
 
     /// The open pair-root span id for a job on machine `m` ([`NO_SPAN`]
     /// when untraced, unpaired, or already closed).
-    fn pair_span_of(&self, m: usize, job: &Job) -> u64 {
+    fn pair_span_of(&self, m: usize, job: JobId) -> u64 {
         self.pair_key(m, job)
             .and_then(|key| self.spans.pair_root.get(&key).copied())
             .unwrap_or(NO_SPAN)
     }
 
-    /// A job started on machine `m`: close its open yield/hold spans, mark
-    /// its pair member as started, and close the pair root span once both
-    /// members run.
+    /// A job started on machine `m`: submit the `StartAfter` successors it
+    /// withheld, and trace the start.
+    fn started(&mut self, m: usize, job: JobId) {
+        if m == 0 && !self.parked.is_empty() {
+            for idx in self.parked.remove(&job).unwrap_or_default() {
+                let (_, min_delay) = self.gates[&self.jobs[1][idx].id];
+                self.queue
+                    .push(self.now + min_delay, Event::Successor { idx });
+            }
+        }
+        self.span_mark_started(m, job);
+    }
+
+    /// Close a started job's open yield/hold spans, mark its pair member as
+    /// started, and close the pair root span once both members run.
     fn span_mark_started(&mut self, m: usize, job_id: JobId) {
         if !self.observer.active() {
             return;
@@ -373,10 +517,7 @@ impl<O: Observer> CoupledSimulation<O> {
             self.observer
                 .record(now, m, TraceEvent::SpanClose { span: id });
         }
-        let Some(key) = self.machines[m]
-            .job(job_id)
-            .and_then(|job| self.pair_key(m, job))
-        else {
+        let Some(key) = self.pair_key(m, job_id) else {
             return;
         };
         if let Some(started) = self.spans.pair_started.get_mut(&key) {
@@ -415,10 +556,15 @@ impl<O: Observer> CoupledSimulation<O> {
         every: u64,
         observer: impl FnMut(&CoupledSimulation<O>),
     ) -> SimulationReport {
-        self.run_loop(every, observer).report
+        let (sim, aborted) = self.run_loop(every, observer);
+        sim.report(aborted).report
     }
 
     /// Run to completion and build the report.
+    ///
+    /// # Panics
+    /// Panics unless the system has exactly two machines (a k-machine run
+    /// reports through [`CoupledSimulation::run_nway`]).
     pub fn run(self) -> SimulationReport {
         self.run_traced().report
     }
@@ -426,28 +572,57 @@ impl<O: Observer> CoupledSimulation<O> {
     /// Run to completion, returning the report together with the observer
     /// (to read back an attached sink).
     pub fn run_traced(self) -> RunArtifacts<O> {
-        self.run_loop(0, |_| {})
+        let (sim, aborted) = self.run_loop(0, |_| {});
+        sim.report(aborted)
+    }
+
+    /// Run a group simulation to completion: the per-machine records, every
+    /// registered group's start spread, and the observer.
+    pub fn run_nway(self) -> RunArtifacts<O, NwayReport> {
+        let (mut sim, aborted) = self.run_loop(0, |_| {});
+        let (records, summaries, unfinished) = sim.take_results();
+        let machines: Vec<MachineId> = sim.config.machines.iter().map(|c| c.machine).collect();
+        let report = NwayReport {
+            group_spreads: sim.groups.spreads(&machines, &records),
+            records,
+            summaries,
+            deadlocked: !aborted && unfinished.iter().any(|&n| n > 0),
+            aborted,
+            forced_releases: sim.forced_releases,
+            events: sim.events,
+            horizon: sim.now,
+            stats: sim.stats,
+        };
+        let mut observer = sim.observer;
+        observer.flush();
+        RunArtifacts { report, observer }
+    }
+
+    /// Run a temporal-constraint simulation to completion and grade every
+    /// constraint instance.
+    pub fn run_temporal(mut self) -> TemporalReport {
+        let constraints = std::mem::take(&mut self.constraints);
+        TemporalReport::grade(self.run(), constraints)
     }
 
     /// The event loop: seed arrivals, then dispatch events in time order,
     /// calling `every_n` before every `every`-th event (never when
-    /// `every` is 0).
+    /// `every` is 0). Returns the drained simulation and whether the
+    /// `max_events` valve tripped.
     fn run_loop(
         mut self,
         every: u64,
         mut every_n: impl FnMut(&CoupledSimulation<O>),
-    ) -> RunArtifacts<O> {
-        for m in 0..2 {
+    ) -> (Self, bool) {
+        for m in 0..self.jobs.len() {
             for idx in 0..self.jobs[m].len() {
                 let t = self.jobs[m][idx].submit;
                 self.queue.push(t, Event::Arrival { m, idx });
             }
         }
-        let mut aborted = false;
         while let Some(ev) = self.queue.pop() {
             if self.events >= self.config.max_events {
-                aborted = true;
-                break;
+                return (self, true);
             }
             debug_assert!(ev.time >= self.now, "time went backwards");
             self.now = ev.time;
@@ -457,109 +632,138 @@ impl<O: Observer> CoupledSimulation<O> {
             }
             self.dispatch(ev.event);
         }
-        self.report(aborted)
+        (self, false)
     }
 
     fn dispatch(&mut self, event: Event) {
         match event {
             Event::Arrival { m, idx } => {
-                let job = self.jobs[m][idx].clone();
-                self.span_open_pair(m, &job);
-                self.emit(m, || TraceEvent::JobSubmitted {
-                    job: job.id.0,
-                    size: job.size,
-                    paired: job.mate.is_some(),
-                });
-                self.machines[m].submit(job, self.now);
-                self.iterate(m);
+                if m == 1 && !self.gates.is_empty() && self.withhold(idx) {
+                    return;
+                }
+                self.submit(m, idx);
             }
+            Event::Successor { idx } => self.submit(1, idx),
             Event::JobEnd { m, job } => {
                 self.emit(m, || TraceEvent::JobEnded { job: job.0 });
                 self.machines[m].finish(job, self.now);
                 self.iterate(m);
             }
-            Event::ReleaseSweep { m } => {
-                self.sweep_armed[m] = false;
-                let Some(period) = self.config.cosched[m].release_period else {
-                    return;
-                };
-                // The release exists to let "other waiting jobs … use the
-                // previously held resources" (§IV-E1). If no queued job is
-                // blocked by the held nodes, the holds are harmless — keep
-                // them (a held job starts the instant its mate is ready,
-                // which is the whole point of the hold scheme).
-                if !self.holds_block_someone(m) {
-                    // Re-check one period from now (not from the oldest
-                    // hold, which is already mature — that would spin).
-                    if !self.machines[m].held_jobs().is_empty() {
-                        self.queue
-                            .push(self.now + period, Event::ReleaseSweep { m });
-                        self.sweep_armed[m] = true;
-                    }
-                    return;
-                }
-                // Release EVERY hold, as one batch ("force the holding jobs
-                // to release their resources", §IV-E1). A partial (e.g.
-                // age-filtered) release livelocks: hold timestamps stagger
-                // across events, each sweep frees only a subset, a large
-                // blocked job never sees the full coalesced capacity, and
-                // the released jobs instantly re-hold with fresh staggered
-                // ages. Only the full batch lets the demoted-last iteration
-                // hand the entire held capacity to the waiting jobs first.
-                let sweep_span = if self.observer.active() {
-                    let id = self.spans.alloc();
-                    self.observer.record(
-                        self.now.as_secs(),
-                        m,
-                        TraceEvent::SpanOpen {
-                            span: id,
-                            parent: NO_SPAN,
-                            kind: SpanKind::ReleaseSweep,
-                            job: NO_JOB,
-                            mate: NO_JOB,
-                        },
-                    );
-                    id
-                } else {
-                    NO_SPAN
-                };
-                let held: Vec<JobId> = self.machines[m].held_jobs().to_vec();
-                let held_before = held.len();
-                for job in held {
-                    self.machines[m].release_held(job, self.now);
-                    self.forced_releases += 1;
-                    self.emit(m, || TraceEvent::CoschedDeadlockDemotion { job: job.0 });
-                    // The demotion ends the job's hold interval.
-                    if let Some(id) = self.spans.hold.remove(&(m, job.0)) {
-                        self.observer.record(
-                            self.now.as_secs(),
-                            m,
-                            TraceEvent::SpanClose { span: id },
-                        );
-                    }
-                }
-                self.stats.release_sweeps += 1;
-                self.emit(m, || TraceEvent::CoschedReleaseSweep {
-                    released: held_before,
-                    held_before,
-                });
-                if sweep_span != NO_SPAN {
-                    self.observer.record(
-                        self.now.as_secs(),
-                        m,
-                        TraceEvent::SpanClose { span: sweep_span },
-                    );
-                }
-                self.iterate(m);
-                // Re-arm for the re-created holds (they all begin at this
-                // instant, so the next sweep is one full `period` away).
-                self.arm_sweep_if_needed(m);
+            Event::ReleaseSweep { m } => self.sweep(m),
+        }
+    }
+
+    /// Submit trace job `idx` to machine `m` and schedule.
+    fn submit(&mut self, m: usize, idx: usize) {
+        let job = self.jobs[m][idx].clone();
+        self.span_open_pair(m, job.id);
+        self.emit(m, || TraceEvent::JobSubmitted {
+            job: job.id.0,
+            size: job.size,
+            paired: job.mate.is_some(),
+        });
+        self.machines[m].submit(job, self.now);
+        self.iterate(m);
+    }
+
+    /// The `StartAfter` lower bound on arrival of machine-1 trace job
+    /// `idx`: true if the job is withheld — until its predecessor starts,
+    /// or until `min_delay` after that start.
+    fn withhold(&mut self, idx: usize) -> bool {
+        let Some(&(pred, min_delay)) = self.gates.get(&self.jobs[1][idx].id) else {
+            return false;
+        };
+        match self.machines[0].start_of(pred) {
+            Some(start) if start + min_delay <= self.now => false,
+            Some(start) => {
+                self.queue.push(start + min_delay, Event::Successor { idx });
+                true
+            }
+            None => {
+                self.parked.entry(pred).or_default().push(idx);
+                true
             }
         }
     }
 
+    /// The deadlock breaker's sweep on machine `m`.
+    fn sweep(&mut self, m: usize) {
+        self.sweep_armed[m] = false;
+        let Some(period) = self.config.cosched[m].release_period else {
+            return;
+        };
+        // The release exists to let "other waiting jobs … use the
+        // previously held resources" (§IV-E1). If no queued job is
+        // blocked by the held nodes, the holds are harmless — keep
+        // them (a held job starts the instant its mate is ready,
+        // which is the whole point of the hold scheme).
+        if !self.holds_block_someone(m) {
+            // Re-check one period from now (not from the oldest
+            // hold, which is already mature — that would spin).
+            if !self.machines[m].held_jobs().is_empty() {
+                self.queue
+                    .push(self.now + period, Event::ReleaseSweep { m });
+                self.sweep_armed[m] = true;
+            }
+            return;
+        }
+        // Release EVERY hold, as one batch ("force the holding jobs
+        // to release their resources", §IV-E1). A partial (e.g.
+        // age-filtered) release livelocks: hold timestamps stagger
+        // across events, each sweep frees only a subset, a large
+        // blocked job never sees the full coalesced capacity, and
+        // the released jobs instantly re-hold with fresh staggered
+        // ages. Only the full batch lets the demoted-last iteration
+        // hand the entire held capacity to the waiting jobs first.
+        let sweep_span = if self.observer.active() {
+            let id = self.spans.alloc();
+            self.observer.record(
+                self.now.as_secs(),
+                m,
+                TraceEvent::SpanOpen {
+                    span: id,
+                    parent: NO_SPAN,
+                    kind: SpanKind::ReleaseSweep,
+                    job: NO_JOB,
+                    mate: NO_JOB,
+                },
+            );
+            id
+        } else {
+            NO_SPAN
+        };
+        let held: Vec<JobId> = self.machines[m].held_jobs().to_vec();
+        let held_before = held.len();
+        for job in held {
+            self.machines[m].release_held(job, self.now);
+            self.forced_releases += 1;
+            self.emit(m, || TraceEvent::CoschedDeadlockDemotion { job: job.0 });
+            // The demotion ends the job's hold interval.
+            if let Some(id) = self.spans.hold.remove(&(m, job.0)) {
+                self.observer
+                    .record(self.now.as_secs(), m, TraceEvent::SpanClose { span: id });
+            }
+        }
+        self.stats.release_sweeps += 1;
+        self.emit(m, || TraceEvent::CoschedReleaseSweep {
+            released: held_before,
+            held_before,
+        });
+        if sweep_span != NO_SPAN {
+            self.observer.record(
+                self.now.as_secs(),
+                m,
+                TraceEvent::SpanClose { span: sweep_span },
+            );
+        }
+        self.iterate(m);
+        // Re-arm for the re-created holds (they all begin at this
+        // instant, so the next sweep is one full `period` away).
+        self.arm_sweep_if_needed(m);
+    }
+
     /// One scheduling iteration on machine `m`: drain ready candidates
-    /// through Algorithm 1.
+    /// through their rendezvous rules.
     fn iterate(&mut self, m: usize) {
         let (queued, running, free_nodes) = (
             self.machines[m].queued_jobs().len(),
@@ -606,11 +810,22 @@ impl<O: Observer> CoupledSimulation<O> {
                 held_nodes: self.machines[m].held_nodes(),
                 yields_so_far: cand.yields,
             };
-            let remote = 1 - m;
+            let rule = if self.rules.is_empty() {
+                None
+            } else {
+                self.rules.get(&(m, job.id)).cloned()
+            };
+            // Algorithm 1 talks to the mate's machine; a job without one
+            // asks the next machine (in a pair run, the other one).
+            let remote = match (&rule, job.mate) {
+                (Some(Rule::Within(to, _)), _) => *to,
+                (None, Some(mate)) if self.machines.len() > 2 => self.slot(mate.machine),
+                _ => (m + 1) % self.machines.len(),
+            };
             // RPC spans for this decision parent under the pair root (the
             // span context a live transport would carry in its frames).
             let rpc_parent = if self.observer.active() {
-                self.pair_span_of(m, &job)
+                self.pair_span_of(m, job.id)
             } else {
                 NO_SPAN
             };
@@ -619,12 +834,25 @@ impl<O: Observer> CoupledSimulation<O> {
             let mut shifts: Vec<TraceEvent> = Vec::new();
             let decision = {
                 let this = &mut *self;
-                run_job_traced(
-                    &cfg,
-                    &ctx,
-                    |req| this.remote_call(remote, req, rpc_parent),
-                    |ev| shifts.push(ev),
-                )
+                let trace = |ev| shifts.push(ev);
+                match rule {
+                    None => run_job_traced(
+                        &cfg,
+                        &ctx,
+                        |req| this.remote_call(m, remote, req, rpc_parent),
+                        trace,
+                    ),
+                    Some(Rule::Group(others)) => run_group(
+                        &cfg,
+                        &ctx,
+                        &others,
+                        |to, req| this.remote_call(m, to, req, rpc_parent),
+                        trace,
+                    ),
+                    Some(Rule::Within(to, partner)) => run_within(&cfg, partner, |req| {
+                        this.remote_call(m, to, req, rpc_parent)
+                    }),
+                }
             };
             for ev in shifts {
                 match ev {
@@ -652,12 +880,12 @@ impl<O: Observer> CoupledSimulation<O> {
                     let end = self.machines[m].start(cand, self.now);
                     let id = job.id;
                     self.queue.push(end, Event::JobEnd { m, job: id });
-                    self.span_mark_started(m, id);
+                    self.started(m, id);
                 }
                 Decision::Hold => {
                     self.stats.holds += 1;
                     if self.observer.active() {
-                        let parent = self.pair_span_of(m, &job);
+                        let parent = self.pair_span_of(m, job.id);
                         let id = self.spans.alloc();
                         self.spans.hold.insert((m, job.id.0), id);
                         let mate = job.mate.as_ref().map_or(NO_JOB, |r| r.job.0);
@@ -684,7 +912,7 @@ impl<O: Observer> CoupledSimulation<O> {
                     // A yield episode spans from the first yield to the
                     // job's eventual start; repeated yields stay inside it.
                     if self.observer.active() && !self.spans.yielding.contains_key(&(m, job.id.0)) {
-                        let parent = self.pair_span_of(m, &job);
+                        let parent = self.pair_span_of(m, job.id);
                         let id = self.spans.alloc();
                         self.spans.yielding.insert((m, job.id.0), id);
                         let mate = job.mate.as_ref().map_or(NO_JOB, |r| r.job.0);
@@ -759,25 +987,27 @@ impl<O: Observer> CoupledSimulation<O> {
         }
     }
 
-    /// Answer one protocol request against machine `m` — the simulator's
-    /// in-process "wire". Starting side effects schedule the corresponding
-    /// end events. `parent` is the caller-side span the RPC parents under
-    /// (the pair root; [`NO_SPAN`] when untraced or unpaired) — the same
-    /// context a live transport carries in its `TracedRequest` frames.
+    /// Answer one protocol request from machine `from` against machine `m`
+    /// — the simulator's in-process "wire". Starting side effects schedule
+    /// the corresponding end events. `parent` is the caller-side span the
+    /// RPC parents under (the pair root; [`NO_SPAN`] when untraced or
+    /// unpaired) — the same context a live transport carries in its
+    /// `TracedRequest` frames.
     fn remote_call(
         &mut self,
+        from: usize,
         m: usize,
         req: &Request,
         parent: u64,
     ) -> Result<Response, ProtoError> {
         let kind = rpc_kind(req);
         self.stats.rpc_calls += 1;
-        // Caller-side RPC span: opened on the calling machine (1 - m).
+        // Caller-side RPC span: opened on the calling machine.
         let rpc_span = if self.observer.active() {
             let id = self.spans.alloc();
             self.observer.record(
                 self.now.as_secs(),
-                1 - m,
+                from,
                 TraceEvent::SpanOpen {
                     span: id,
                     parent,
@@ -790,7 +1020,7 @@ impl<O: Observer> CoupledSimulation<O> {
         } else {
             NO_SPAN
         };
-        let result = self.remote_call_inner(m, req, rpc_span);
+        let result = self.remote_call_inner(from, m, req, rpc_span);
         if result.is_err() {
             self.stats.rpc_timeouts += 1;
             self.emit(m, || TraceEvent::RpcTimeout { kind });
@@ -800,7 +1030,7 @@ impl<O: Observer> CoupledSimulation<O> {
         if rpc_span != NO_SPAN {
             self.observer.record(
                 self.now.as_secs(),
-                1 - m,
+                from,
                 TraceEvent::SpanClose { span: rpc_span },
             );
         }
@@ -811,6 +1041,7 @@ impl<O: Observer> CoupledSimulation<O> {
     /// `TracedRequest` envelope; the handler's work parents under it.
     fn remote_call_inner(
         &mut self,
+        from: usize,
         m: usize,
         req: &Request,
         ctx_span: u64,
@@ -842,11 +1073,11 @@ impl<O: Observer> CoupledSimulation<O> {
         } else {
             NO_SPAN
         };
-        let caller_machine = self.config.machines[1 - m].machine;
         let resp = match req {
-            Request::GetMateJob { for_job } => {
-                Response::MateJob(self.registry.mate_of(caller_machine, *for_job))
-            }
+            Request::GetMateJob { for_job } => Response::MateJob(
+                self.mates
+                    .mate_of(self.config.machines[from].machine, *for_job),
+            ),
             Request::GetMateStatus { job } => {
                 if self.unknown_status.contains(&(m, *job)) {
                     Response::MateStatus(MateStatus::Unknown)
@@ -871,7 +1102,7 @@ impl<O: Observer> CoupledSimulation<O> {
                             job: job.0,
                             with_mate: true,
                         });
-                        self.span_mark_started(m, *job);
+                        self.started(m, *job);
                         Response::Started(true)
                     }
                     None => Response::Started(false),
@@ -891,7 +1122,7 @@ impl<O: Observer> CoupledSimulation<O> {
                             job: job.0,
                             with_mate: true,
                         });
-                        self.span_mark_started(m, *job);
+                        self.started(m, *job);
                         Response::Started(true)
                     }
                     None => Response::Started(false),
@@ -912,36 +1143,33 @@ impl<O: Observer> CoupledSimulation<O> {
         Ok(resp)
     }
 
+    /// Per machine: the finished run's job records, their summary over the
+    /// run's horizon, and how many jobs never finished.
+    fn take_results(&mut self) -> (Vec<Vec<JobRecord>>, Vec<MachineSummary>, Vec<usize>) {
+        let horizon = self.now;
+        let (mut records, mut summaries, mut unfinished) = (Vec::new(), Vec::new(), Vec::new());
+        for (m, machine) in self.machines.iter_mut().enumerate() {
+            let held_ns = machine.held_node_seconds(horizon);
+            unfinished.push(self.jobs[m].len() - machine.records().len());
+            let recs = machine.take_records();
+            let cfg = &self.config.machines[m];
+            summaries.push(MachineSummary::from_records(
+                cfg.name.clone(),
+                &recs,
+                cfg.capacity,
+                horizon.max(SimTime::from_secs(1)),
+                held_ns,
+            ));
+            records.push(recs);
+        }
+        (records, summaries, unfinished)
+    }
+
+    /// The two-machine report.
     fn report(mut self, aborted: bool) -> RunArtifacts<O> {
         let horizon = self.now;
-        let held_ns = [
-            self.machines[0].held_node_seconds(horizon),
-            self.machines[1].held_node_seconds(horizon),
-        ];
-        let unfinished = [
-            self.jobs[0].len() - self.machines[0].records().len(),
-            self.jobs[1].len() - self.machines[1].records().len(),
-        ];
-        let records = [
-            self.machines[0].take_records(),
-            self.machines[1].take_records(),
-        ];
-        let summaries = [
-            MachineSummary::from_records(
-                self.config.machines[0].name.clone(),
-                &records[0],
-                self.config.machines[0].capacity,
-                horizon.max(SimTime::from_secs(1)),
-                held_ns[0],
-            ),
-            MachineSummary::from_records(
-                self.config.machines[1].name.clone(),
-                &records[1],
-                self.config.machines[1].capacity,
-                horizon.max(SimTime::from_secs(1)),
-                held_ns[1],
-            ),
-        ];
+        let (records, summaries, unfinished) = self.take_results();
+        let (records, summaries, unfinished) = (two(records), two(summaries), two(unfinished));
         // Pair start offsets.
         let mut starts: HashMap<(usize, JobId), SimTime> = HashMap::new();
         for (m, recs) in records.iter().enumerate() {
@@ -949,16 +1177,12 @@ impl<O: Observer> CoupledSimulation<O> {
                 starts.insert((m, r.id), r.start);
             }
         }
-        let mid = |machine| usize::from(machine == self.config.machines[1].machine);
         let mut pair_offsets = Vec::new();
         let mut rendezvous = RendezvousCounts::default();
-        for ((ma, ja), mate) in self.registry.pairs() {
-            if let (Some(&sa), Some(&sb)) = (
-                starts.get(&(mid(ma), ja)),
-                starts.get(&(mid(mate.machine), mate.job)),
-            ) {
+        for ((ma, ja), mate) in self.mates.pairs() {
+            let keys = [(self.slot(ma), ja), (self.slot(mate.machine), mate.job)];
+            if let (Some(&sa), Some(&sb)) = (starts.get(&keys[0]), starts.get(&keys[1])) {
                 pair_offsets.push(sa.abs_diff(sb));
-                let keys = [(mid(ma), ja), (mid(mate.machine), mate.job)];
                 if keys.iter().any(|k| self.anchored_pairs.contains(k)) {
                     rendezvous.anchored += 1;
                 } else if keys.iter().any(|k| self.direct_pairs.contains(k)) {
@@ -1002,6 +1226,16 @@ impl<O: Observer> CoupledSimulation<O> {
         observer.flush();
         RunArtifacts { report, observer }
     }
+}
+
+/// The two per-machine entries of a pair run's report.
+fn two<T>(v: Vec<T>) -> [T; 2] {
+    v.try_into().unwrap_or_else(|v: Vec<T>| {
+        panic!(
+            "a pair report needs two machines, not {} (use run_nway)",
+            v.len()
+        )
+    })
 }
 
 /// Map a protocol request to its trace-event kind tag.

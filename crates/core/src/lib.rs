@@ -16,9 +16,11 @@
 //!   over the protocol vocabulary, shared by the simulator and the live
 //!   endpoint, including all fault-tolerance branches;
 //! * [`driver`] — the coupled event-driven simulator (the Qsim extension of
-//!   §V-A): both machines in one deterministic event loop, coordination
+//!   §V-A): every machine in one deterministic event loop, coordination
 //!   routed through protocol messages, hold-release timers, deadlock
 //!   detection, and a [`driver::SimulationReport`];
+//! * [`nway`] and [`temporal`] — the §VI future work on that same loop:
+//!   co-start groups over k machines and inter-job temporal constraints;
 //! * [`live`] — a wall-clock domain wrapper that serves the protocol over a
 //!   real [`cosched_proto::Transport`], demonstrating deployment outside
 //!   the simulator.
@@ -32,7 +34,7 @@ pub mod registry;
 pub mod temporal;
 
 pub use algorithm::{run_job, run_job_traced, Decision, LocalContext};
-pub use config::{CoschedConfig, CoupledConfig, Scheme, SchemeCombo};
+pub use config::{CoschedConfig, CoupledConfig, NwayConfig, Scheme, SchemeCombo};
 pub use driver::{CoupledSimulation, RunArtifacts, RunStats, SimulationReport};
-pub use nway::{GroupId, GroupRegistry, NwayConfig, NwayReport, NwaySimulation};
+pub use nway::{GroupId, GroupRegistry, NwayReport};
 pub use registry::MateRegistry;

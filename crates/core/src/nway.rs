@@ -6,33 +6,18 @@
 //! models concurrently across heterogeneous machines; a *group* of k jobs
 //! on k domains must start simultaneously.
 //!
-//! The 2-way algorithm generalizes with one addition to the protocol: a
-//! non-committing `CanStart` probe ([`cosched_proto::Request::CanStart`]).
-//! When a group member becomes
-//! ready it queries every other member:
-//!
-//! * any status unknown / domain unreachable → start normally (the same
-//!   fault-tolerance rule as 2-way);
-//! * any member already running or finished → the rendezvous is missed,
-//!   start normally;
-//! * otherwise, if **every** other member is either *holding* or *queued
-//!   and startable right now* (`CanStart`), commit the rendezvous: start
-//!   the held ones in place, direct-start the queued ones, start locally —
-//!   all at the same instant;
-//! * otherwise hold or yield per the locally configured scheme, with the
-//!   same enhancements and deadlock breaker as the 2-way driver.
-//!
-//! The check-then-commit sequence is sound because a group has at most one
-//! member per machine (enforced by [`GroupRegistry::insert_group`]), so
-//! committing one member cannot invalidate another's admission; within the
-//! simulator an event dispatch is atomic. Two-phase behaviour in a live
-//! deployment degrades to a retry, exactly like the 2-way pump.
+//! Groups run on the one coupled simulator
+//! ([`crate::driver::CoupledSimulation::with_groups`]): a two-member group
+//! is a mate pair and runs Algorithm 1; a larger group runs the
+//! probe-then-commit rule [`crate::algorithm::run_group`], which adds one
+//! non-committing `CanStart` probe ([`cosched_proto::Request::CanStart`])
+//! to the protocol. This module holds the group registry and the group
+//! report.
 
-use crate::config::{CoschedConfig, Scheme};
+use crate::driver::RunStats;
 use cosched_metrics::{JobRecord, MachineSummary};
-use cosched_sched::{JobStatus, Machine, MachineConfig};
-use cosched_sim::{EventQueue, SimDuration, SimTime};
-use cosched_workload::{Job, JobId, MachineId, MateRef, Trace};
+use cosched_sim::{SimDuration, SimTime};
+use cosched_workload::{JobId, MachineId, MateRef, Trace};
 use std::collections::{HashMap, HashSet};
 
 /// Identifies a co-start group.
@@ -78,6 +63,11 @@ impl GroupRegistry {
         self.groups.get(&id).map_or(&[], |v| v.as_slice())
     }
 
+    /// Every group's members, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = &[(MachineId, JobId)]> + '_ {
+        self.groups.values().map(Vec::as_slice)
+    }
+
     /// Number of groups.
     pub fn len(&self) -> usize {
         self.groups.len()
@@ -90,8 +80,7 @@ impl GroupRegistry {
 
     /// Stamp ring mate references onto the traces so per-job records carry
     /// the `paired` flag (each member points at the next member in the
-    /// group, cyclically). Purely for metrics; the driver consults the
-    /// registry, not the rings.
+    /// group, cyclically; a two-member ring is a mate pair).
     ///
     /// # Panics
     /// Panics if a member is missing from its trace.
@@ -117,38 +106,35 @@ impl GroupRegistry {
             }
         }
     }
-}
 
-/// Configuration of an N-machine coupled system.
-#[derive(Debug, Clone)]
-pub struct NwayConfig {
-    /// One resource-manager configuration per machine.
-    pub machines: Vec<MachineConfig>,
-    /// One local coscheduling configuration per machine.
-    pub cosched: Vec<CoschedConfig>,
-    /// Event-loop safety valve.
-    pub max_events: u64,
-}
-
-/// What to do with a ready group member.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NDecision {
-    /// Start now (rendezvous committed, missed, or job is ungrouped).
-    Start,
-    /// Wait under the given scheme.
-    Wait(Scheme),
-}
-
-/// Events of the N-way simulation.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Arrival { m: usize, idx: usize },
-    JobEnd { m: usize, job: JobId },
-    ReleaseSweep { m: usize },
+    /// Latest minus earliest member start of every group whose members all
+    /// completed, sorted; `records[i]` are the records of `machines[i]`.
+    pub(crate) fn spreads(
+        &self,
+        machines: &[MachineId],
+        records: &[Vec<JobRecord>],
+    ) -> Vec<SimDuration> {
+        let starts: HashMap<(MachineId, JobId), SimTime> = machines
+            .iter()
+            .zip(records)
+            .flat_map(|(&m, recs)| recs.iter().map(move |r| ((m, r.id), r.start)))
+            .collect();
+        let mut spreads: Vec<SimDuration> = self
+            .iter()
+            .filter_map(|members| {
+                let member_starts: Option<Vec<SimTime>> =
+                    members.iter().map(|key| starts.get(key).copied()).collect();
+                let member_starts = member_starts?;
+                Some(*member_starts.iter().max()? - *member_starts.iter().min()?)
+            })
+            .collect();
+        spreads.sort();
+        spreads
+    }
 }
 
 /// Outcome of an N-way run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NwayReport {
     /// Per-machine records.
     pub records: Vec<Vec<JobRecord>>,
@@ -166,6 +152,8 @@ pub struct NwayReport {
     pub events: u64,
     /// Final instant.
     pub horizon: SimTime,
+    /// Protocol and scheme-transition counters.
+    pub stats: RunStats,
 }
 
 impl NwayReport {
@@ -175,311 +163,13 @@ impl NwayReport {
     }
 }
 
-/// The N-machine coupled simulator.
-pub struct NwaySimulation {
-    config: NwayConfig,
-    machines: Vec<Machine>,
-    jobs: Vec<Vec<Job>>,
-    registry: GroupRegistry,
-    queue: EventQueue<Event>,
-    now: SimTime,
-    events: u64,
-    forced_releases: u64,
-    sweep_armed: Vec<bool>,
-    /// Machine-id → index.
-    index: HashMap<MachineId, usize>,
-}
-
-impl NwaySimulation {
-    /// Build from config, traces (one per machine, same order), and groups.
-    /// Ring mate references are stamped automatically for metrics.
-    ///
-    /// # Panics
-    /// Panics on config/trace arity mismatch or invalid group membership.
-    pub fn new(config: NwayConfig, mut traces: Vec<Trace>, registry: GroupRegistry) -> Self {
-        assert_eq!(config.machines.len(), traces.len(), "one trace per machine");
-        assert_eq!(
-            config.machines.len(),
-            config.cosched.len(),
-            "one cosched config per machine"
-        );
-        assert!(
-            config.machines.len() >= 2,
-            "an N-way system needs at least two machines"
-        );
-        for (cfg, t) in config.machines.iter().zip(&traces) {
-            assert_eq!(
-                cfg.machine,
-                t.machine(),
-                "trace order must match machine order"
-            );
-        }
-        registry.stamp_rings(&mut traces);
-        let machines: Vec<Machine> = config
-            .machines
-            .iter()
-            .map(|c| Machine::new(c.clone()))
-            .collect();
-        let index = config
-            .machines
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.machine, i))
-            .collect();
-        let n = machines.len();
-        NwaySimulation {
-            config,
-            machines,
-            jobs: traces.into_iter().map(Trace::into_jobs).collect(),
-            registry,
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            events: 0,
-            forced_releases: 0,
-            sweep_armed: vec![false; n],
-            index,
-        }
-    }
-
-    /// Run to completion.
-    pub fn run(mut self) -> NwayReport {
-        for m in 0..self.jobs.len() {
-            for idx in 0..self.jobs[m].len() {
-                let t = self.jobs[m][idx].submit;
-                self.queue.push(t, Event::Arrival { m, idx });
-            }
-        }
-        let mut aborted = false;
-        while let Some(ev) = self.queue.pop() {
-            if self.events >= self.config.max_events {
-                aborted = true;
-                break;
-            }
-            self.now = ev.time;
-            self.events += 1;
-            match ev.event {
-                Event::Arrival { m, idx } => {
-                    let job = self.jobs[m][idx].clone();
-                    self.machines[m].submit(job, self.now);
-                    self.iterate(m);
-                }
-                Event::JobEnd { m, job } => {
-                    self.machines[m].finish(job, self.now);
-                    self.iterate(m);
-                }
-                Event::ReleaseSweep { m } => self.sweep(m),
-            }
-        }
-        self.report(aborted)
-    }
-
-    fn iterate(&mut self, m: usize) {
-        self.machines[m].begin_iteration();
-        while let Some(cand) = self.machines[m].pick_next(self.now) {
-            let job_id = cand.job_id;
-            match self.decide(m, job_id, cand.charged) {
-                NDecision::Start => {
-                    let end = self.machines[m].start(cand, self.now);
-                    self.queue.push(end, Event::JobEnd { m, job: job_id });
-                }
-                NDecision::Wait(Scheme::Hold) => self.machines[m].hold(cand, self.now),
-                NDecision::Wait(Scheme::Yield) => self.machines[m].yield_job(cand, self.now),
-            }
-        }
-        self.arm_sweep_if_needed(m);
-    }
-
-    /// Decide the fate of ready job `job` on machine `m`. Starting the
-    /// *remote* group members is a side effect of a committed rendezvous;
-    /// the local start is the caller's (it owns the candidate).
-    fn decide(&mut self, m: usize, job: JobId, charged: u64) -> NDecision {
-        let cfg = &self.config.cosched[m];
-        if !cfg.enabled {
-            return NDecision::Start;
-        }
-        let Some(gid) = self.registry.group_of(self.config.machines[m].machine, job) else {
-            return NDecision::Start;
-        };
-        let my_machine = self.config.machines[m].machine;
-        let others: Vec<(usize, JobId)> = self
-            .registry
-            .members(gid)
-            .iter()
-            .filter(|&&(mm, _)| mm != my_machine)
-            .map(|&(mm, jj)| (self.index[&mm], jj))
-            .collect();
-
-        // Phase 1: check.
-        let mut held = Vec::new();
-        let mut startable = Vec::new();
-        for &(om, oj) in &others {
-            match self.machines[om].status(oj) {
-                JobStatus::Held => held.push((om, oj)),
-                JobStatus::Queued if self.machines[om].can_start_direct(oj, self.now) => {
-                    startable.push((om, oj));
-                }
-                JobStatus::Queued | JobStatus::Unsubmitted => {
-                    // Someone is not ready: wait per local scheme (with the
-                    // §IV-E2 modifications).
-                    return NDecision::Wait(self.effective_scheme(m, job, charged));
-                }
-                JobStatus::Running | JobStatus::Finished => {
-                    // Missed rendezvous: run.
-                    return NDecision::Start;
-                }
-            }
-        }
-        // Phase 2: commit — every other member is held or startable.
-        for (om, oj) in held {
-            if let Some(end) = self.machines[om].start_held(oj, self.now) {
-                self.queue.push(end, Event::JobEnd { m: om, job: oj });
-            }
-        }
-        for (om, oj) in startable {
-            if let Some(end) = self.machines[om].try_start_direct(oj, self.now) {
-                self.queue.push(end, Event::JobEnd { m: om, job: oj });
-            }
-        }
-        NDecision::Start
-    }
-
-    fn effective_scheme(&self, m: usize, job: JobId, charged: u64) -> Scheme {
-        let cfg = &self.config.cosched[m];
-        match cfg.scheme {
-            Scheme::Hold => {
-                if let Some(cap) = cfg.max_held_fraction {
-                    let would = (self.machines[m].held_nodes() + charged) as f64
-                        / self.config.machines[m].capacity as f64;
-                    if would > cap {
-                        return Scheme::Yield;
-                    }
-                }
-                Scheme::Hold
-            }
-            Scheme::Yield => {
-                if let Some(max) = cfg.max_yields_before_hold {
-                    if self.machines[m].yields_of(job) >= max {
-                        return Scheme::Hold;
-                    }
-                }
-                Scheme::Yield
-            }
-        }
-    }
-
-    fn sweep(&mut self, m: usize) {
-        self.sweep_armed[m] = false;
-        let Some(period) = self.config.cosched[m].release_period else {
-            return;
-        };
-        let held = self.machines[m].held_nodes();
-        let free = self.machines[m].free_nodes();
-        let blocked = held > 0
-            && self.machines[m]
-                .queued_jobs()
-                .any(|job| job.size <= free + held && !self.machines[m].can_fit(job.size));
-        if !blocked {
-            if !self.machines[m].held_jobs().is_empty() {
-                self.queue
-                    .push(self.now + period, Event::ReleaseSweep { m });
-                self.sweep_armed[m] = true;
-            }
-            return;
-        }
-        let matured: Vec<JobId> = self.machines[m]
-            .held_jobs()
-            .iter()
-            .filter(|&&job| {
-                self.machines[m]
-                    .hold_since(job)
-                    .is_some_and(|since| since + period <= self.now)
-            })
-            .copied()
-            .collect();
-        for job in matured {
-            self.machines[m].release_held(job, self.now);
-            self.forced_releases += 1;
-        }
-        self.iterate(m);
-        self.arm_sweep_if_needed(m);
-    }
-
-    fn arm_sweep_if_needed(&mut self, m: usize) {
-        if self.sweep_armed[m] {
-            return;
-        }
-        let Some(period) = self.config.cosched[m].release_period else {
-            return;
-        };
-        let oldest = self.machines[m]
-            .held_jobs()
-            .iter()
-            .filter_map(|&job| self.machines[m].hold_since(job))
-            .min();
-        if let Some(since) = oldest {
-            let at = (since + period).max(self.now);
-            self.queue.push(at, Event::ReleaseSweep { m });
-            self.sweep_armed[m] = true;
-        }
-    }
-
-    fn report(mut self, aborted: bool) -> NwayReport {
-        let horizon = self.now.max(SimTime::from_secs(1));
-        let n = self.machines.len();
-        let mut records = Vec::with_capacity(n);
-        let mut summaries = Vec::with_capacity(n);
-        let mut unfinished = 0usize;
-        for m in 0..n {
-            let held_ns = self.machines[m].held_node_seconds(horizon);
-            unfinished += self.jobs[m].len() - self.machines[m].records().len();
-            let recs = self.machines[m].take_records();
-            summaries.push(MachineSummary::from_records(
-                self.config.machines[m].name.clone(),
-                &recs,
-                self.config.machines[m].capacity,
-                horizon,
-                held_ns,
-            ));
-            records.push(recs);
-        }
-        let mut starts: HashMap<(MachineId, JobId), SimTime> = HashMap::new();
-        for (m, recs) in records.iter().enumerate() {
-            for r in recs {
-                starts.insert((self.config.machines[m].machine, r.id), r.start);
-            }
-        }
-        let mut group_spreads = Vec::new();
-        for gid in self.registry.groups.keys() {
-            let member_starts: Vec<SimTime> = self
-                .registry
-                .members(*gid)
-                .iter()
-                .filter_map(|&(mm, jj)| starts.get(&(mm, jj)).copied())
-                .collect();
-            if member_starts.len() == self.registry.members(*gid).len() {
-                let min = member_starts.iter().min().copied().unwrap_or(SimTime::ZERO);
-                let max = member_starts.iter().max().copied().unwrap_or(SimTime::ZERO);
-                group_spreads.push(max - min);
-            }
-        }
-        group_spreads.sort();
-        NwayReport {
-            records,
-            summaries,
-            group_spreads,
-            deadlocked: !aborted && unfinished > 0,
-            aborted,
-            forced_releases: self.forced_releases,
-            events: self.events,
-            horizon: self.now,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosched_workload::Trace;
+    use crate::config::{CoschedConfig, NwayConfig, Scheme};
+    use crate::driver::CoupledSimulation;
+    use cosched_sched::MachineConfig;
+    use cosched_workload::{Job, Trace};
 
     fn job(machine: usize, id: u64, submit: u64, size: u64, runtime: u64) -> Job {
         Job::new(
@@ -529,7 +219,9 @@ mod tests {
     #[test]
     fn three_way_group_starts_simultaneously_hold() {
         let (traces, reg) = three_way_traces();
-        let report = NwaySimulation::new(config(3, Scheme::Hold), traces, reg).run();
+        let report = CoupledSimulation::nway(config(3, Scheme::Hold), traces, reg)
+            .run_nway()
+            .report;
         assert!(!report.deadlocked);
         assert_eq!(report.group_spreads.len(), 1);
         assert!(
@@ -545,7 +237,9 @@ mod tests {
     #[test]
     fn three_way_group_starts_simultaneously_yield() {
         let (traces, reg) = three_way_traces();
-        let report = NwaySimulation::new(config(3, Scheme::Yield), traces, reg).run();
+        let report = CoupledSimulation::nway(config(3, Scheme::Yield), traces, reg)
+            .run_nway()
+            .report;
         assert!(!report.deadlocked);
         assert!(
             report.all_groups_synchronized(),
@@ -576,7 +270,9 @@ mod tests {
                 Trace::from_jobs(MachineId(m), jobs)
             })
             .collect();
-        let report = NwaySimulation::new(config(n, Scheme::Hold), traces, reg).run();
+        let report = CoupledSimulation::nway(config(n, Scheme::Hold), traces, reg)
+            .run_nway()
+            .report;
         assert!(!report.deadlocked);
         assert!(
             report.all_groups_synchronized(),
@@ -607,7 +303,9 @@ mod tests {
                 vec![job(1, 1, 0, 40, 600), job(1, 2, 5, 10, 100)],
             ),
         ];
-        let report = NwaySimulation::new(config(2, Scheme::Hold), traces, reg).run();
+        let report = CoupledSimulation::nway(config(2, Scheme::Hold), traces, reg)
+            .run_nway()
+            .report;
         assert!(!report.deadlocked);
         // Ungrouped job 2 on each machine starts at its submit (room free).
         for m in 0..2 {
@@ -646,13 +344,17 @@ mod tests {
         for c in &mut cfg.cosched {
             c.release_period = None;
         }
-        let report = NwaySimulation::new(cfg, traces.clone(), reg.clone()).run();
+        let report = CoupledSimulation::nway(cfg, traces.clone(), reg.clone())
+            .run_nway()
+            .report;
         assert!(
             report.deadlocked,
             "3-cycle must deadlock without the breaker"
         );
         // With it: completes and synchronizes.
-        let report = NwaySimulation::new(config(3, Scheme::Hold), traces, reg).run();
+        let report = CoupledSimulation::nway(config(3, Scheme::Hold), traces, reg)
+            .run_nway()
+            .report;
         assert!(!report.deadlocked);
         assert!(report.forced_releases > 0);
         assert!(

@@ -5,28 +5,30 @@
 //! Besides the exact co-start the paper implements, coupled workflows want:
 //!
 //! * [`TemporalConstraint::CoStart`] — start simultaneously (the base
-//!   mechanism, delegated to the hold/yield rendezvous);
+//!   mechanism: the pair is a mate pair and runs Algorithm 1);
 //! * [`TemporalConstraint::StartWithin`] — a *soft* co-start: the pair
 //!   should start within a window of each other. The first-ready job does
 //!   not block on the rendezvous — if the mate cannot start now, the job
-//!   runs and the mate inherits a deadline;
+//!   runs and the mate follows when it can;
 //! * [`TemporalConstraint::StartAfter`] — ordered execution: the successor
 //!   may start no earlier than `min_delay` after the predecessor starts and
 //!   should start within `max_delay` (e.g. an analysis job that must begin
 //!   once the simulation has produced its first checkpoint, but soon enough
 //!   to co-execute).
 //!
-//! Constraints are *monitored* as well as enforced: the report grades every
-//! constraint instance, because `StartWithin`/`StartAfter` upper bounds are
-//! best-effort under load (the lower bound of `StartAfter` is hard — the
-//! driver simply does not release the successor earlier).
+//! Constraints run on the one coupled simulator
+//! ([`crate::driver::CoupledSimulation::temporal`]) and are *monitored* as
+//! well as enforced: the report grades every constraint instance, because
+//! `StartWithin`/`StartAfter` upper bounds are best-effort under load (the
+//! lower bound of `StartAfter` is hard — the simulator does not submit the
+//! successor earlier).
 
-use crate::config::{CoschedConfig, Scheme};
+use crate::driver::SimulationReport;
+use crate::registry::MateRegistry;
 use cosched_metrics::{JobRecord, MachineSummary};
-use cosched_sched::{JobStatus, Machine, MachineConfig};
-use cosched_sim::{EventQueue, SimDuration, SimTime};
-use cosched_workload::{Job, JobId, Trace};
-use std::collections::HashMap;
+use cosched_sim::{SimDuration, SimTime};
+use cosched_workload::{JobId, MateRef, Trace};
+use std::collections::{HashMap, HashSet};
 
 /// A temporal relation between two jobs on opposite machines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,26 +77,6 @@ pub struct ConstraintOutcome {
     pub satisfied: bool,
 }
 
-/// Events of the temporal simulation.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Arrival {
-        m: usize,
-        idx: usize,
-    },
-    JobEnd {
-        m: usize,
-        job: JobId,
-    },
-    ReleaseSweep {
-        m: usize,
-    },
-    /// A gated successor becomes eligible for submission.
-    ReleaseSuccessor {
-        job: JobId,
-    },
-}
-
 /// Report of a temporal-constraint run.
 #[derive(Debug, Clone)]
 pub struct TemporalReport {
@@ -107,423 +89,23 @@ pub struct TemporalReport {
     pub outcomes: Vec<ConstraintOutcome>,
     /// Whether the run wedged.
     pub deadlocked: bool,
+    /// Whether the run hit the `max_events` safety valve.
+    pub aborted: bool,
+    /// How many holds the deadlock breaker force-released.
+    pub forced_releases: u64,
     /// Events dispatched.
     pub events: u64,
 }
 
 impl TemporalReport {
-    /// All constraints satisfied.
-    pub fn all_satisfied(&self) -> bool {
-        self.outcomes.iter().all(|o| o.satisfied)
-    }
-
-    /// Count of violated constraints.
-    pub fn violations(&self) -> usize {
-        self.outcomes.iter().filter(|o| !o.satisfied).count()
-    }
-}
-
-/// Two-machine simulator with temporal constraints between jobs.
-pub struct TemporalSimulation {
-    machines: [Machine; 2],
-    cosched: [CoschedConfig; 2],
-    capacities: [u64; 2],
-    names: [String; 2],
-    jobs: [Vec<Job>; 2],
-    constraints: Vec<ConstraintInstance>,
-    /// (machine, job) → indices of constraints the job participates in. A
-    /// job may anchor several `StartAfter` successors, but at most one
-    /// *decision-driving* role (CoStart / StartWithin on either side, or
-    /// being a StartAfter successor).
-    by_job: HashMap<(usize, JobId), Vec<usize>>,
-    /// Successors gated by an unstarted predecessor: b-job → trace index.
-    gated: HashMap<JobId, usize>,
-    queue: EventQueue<Event>,
-    now: SimTime,
-    events: u64,
-    sweep_armed: [bool; 2],
-    max_events: u64,
-}
-
-impl TemporalSimulation {
-    /// Build from machine configs, the per-machine coscheduling settings
-    /// (used for CoStart waits), traces, and constraint instances.
-    ///
-    /// # Panics
-    /// Panics if a constraint references a missing job or a job carries two
-    /// constraints.
-    pub fn new(
-        machines: [MachineConfig; 2],
-        cosched: [CoschedConfig; 2],
-        traces: [Trace; 2],
-        constraints: Vec<ConstraintInstance>,
-    ) -> Self {
-        let mut by_job: HashMap<(usize, JobId), Vec<usize>> = HashMap::new();
-        let mut driving: std::collections::HashSet<(usize, JobId)> =
-            std::collections::HashSet::new();
-        for (i, c) in constraints.iter().enumerate() {
-            assert!(
-                traces[0].get(c.a).is_some(),
-                "constraint references missing job {} on machine 0",
-                c.a
-            );
-            assert!(
-                traces[1].get(c.b).is_some(),
-                "constraint references missing job {} on machine 1",
-                c.b
-            );
-            by_job.entry((0, c.a)).or_default().push(i);
-            by_job.entry((1, c.b)).or_default().push(i);
-            // At most one decision-driving role per job.
-            let drivers: Vec<(usize, JobId)> = match c.constraint {
-                TemporalConstraint::CoStart | TemporalConstraint::StartWithin { .. } => {
-                    vec![(0, c.a), (1, c.b)]
-                }
-                TemporalConstraint::StartAfter { .. } => vec![(1, c.b)],
-            };
-            for d in drivers {
-                assert!(
-                    driving.insert(d),
-                    "job {} on machine {} has two decision-driving constraints",
-                    d.1,
-                    d.0
-                );
-            }
-        }
-        let capacities = [machines[0].capacity, machines[1].capacity];
-        let names = [machines[0].name.clone(), machines[1].name.clone()];
-        let [ta, tb] = traces;
-        TemporalSimulation {
-            machines: [
-                Machine::new(machines[0].clone()),
-                Machine::new(machines[1].clone()),
-            ],
-            cosched,
-            capacities,
-            names,
-            jobs: [ta.into_jobs(), tb.into_jobs()],
-            constraints,
-            by_job,
-            gated: HashMap::new(),
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            events: 0,
-            sweep_armed: [false, false],
-            max_events: 10_000_000,
-        }
-    }
-
-    /// All constraints `job` on machine `m` participates in.
-    fn constraints_of(&self, m: usize, job: JobId) -> impl Iterator<Item = &ConstraintInstance> {
-        self.by_job
-            .get(&(m, job))
-            .into_iter()
-            .flatten()
-            .map(|&i| &self.constraints[i])
-    }
-
-    /// The decision-driving constraint of `job` on `m`, if any: CoStart /
-    /// StartWithin (either side) or StartAfter (successor side only).
-    fn driving_constraint(&self, m: usize, job: JobId) -> Option<ConstraintInstance> {
-        self.constraints_of(m, job)
-            .find(|c| match c.constraint {
-                TemporalConstraint::CoStart | TemporalConstraint::StartWithin { .. } => true,
-                TemporalConstraint::StartAfter { .. } => m == 1 && c.b == job,
-            })
-            .copied()
-    }
-
-    /// Run to completion.
-    pub fn run(mut self) -> TemporalReport {
-        for m in 0..2 {
-            for idx in 0..self.jobs[m].len() {
-                let t = self.jobs[m][idx].submit;
-                self.queue.push(t, Event::Arrival { m, idx });
-            }
-        }
-        let mut aborted = false;
-        while let Some(ev) = self.queue.pop() {
-            if self.events >= self.max_events {
-                aborted = true;
-                break;
-            }
-            self.now = ev.time;
-            self.events += 1;
-            match ev.event {
-                Event::Arrival { m, idx } => self.arrive(m, idx),
-                Event::JobEnd { m, job } => {
-                    self.machines[m].finish(job, self.now);
-                    self.iterate(m);
-                }
-                Event::ReleaseSweep { m } => self.sweep(m),
-                Event::ReleaseSuccessor { job } => {
-                    if let Some(idx) = self.gated.remove(&job) {
-                        let j = self.jobs[1][idx].clone();
-                        self.machines[1].submit(j, self.now);
-                        self.iterate(1);
-                    }
-                }
-            }
-        }
-        self.report(aborted)
-    }
-
-    fn arrive(&mut self, m: usize, idx: usize) {
-        let job = self.jobs[m][idx].clone();
-        // Successors of StartAfter constraints are gated until the
-        // predecessor starts (plus min_delay).
-        if m == 1 {
-            let gate = self
-                .driving_constraint(1, job.id)
-                .and_then(|c| match c.constraint {
-                    TemporalConstraint::StartAfter { min_delay, .. } => Some((c.a, min_delay)),
-                    _ => None,
-                });
-            if let Some((pred, min_delay)) = gate {
-                match self.machines[0].status(pred) {
-                    JobStatus::Running | JobStatus::Finished => {
-                        let pred_start = self.machines[0]
-                            .start_of(pred)
-                            .expect("running/finished job has a start");
-                        let eligible = pred_start + min_delay;
-                        if eligible > self.now {
-                            self.gated.insert(job.id, idx);
-                            self.queue
-                                .push(eligible, Event::ReleaseSuccessor { job: job.id });
-                            return;
-                        }
-                    }
-                    _ => {
-                        // Predecessor not started yet: park until its
-                        // start (handled in `on_started`).
-                        self.gated.insert(job.id, idx);
-                        return;
-                    }
-                }
-            }
-        }
-        self.machines[m].submit(job, self.now);
-        self.iterate(m);
-    }
-
-    /// Called whenever a machine-0 job starts: release gated successors.
-    fn on_started(&mut self, m: usize, job: JobId) {
-        if m != 0 {
-            return;
-        }
-        let releases: Vec<(JobId, SimDuration)> = self
-            .constraints_of(0, job)
-            .filter_map(|c| match c.constraint {
-                TemporalConstraint::StartAfter { min_delay, .. } => Some((c.b, min_delay)),
-                _ => None,
-            })
-            .collect();
-        for (succ, min_delay) in releases {
-            if self.gated.contains_key(&succ) {
-                self.queue
-                    .push(self.now + min_delay, Event::ReleaseSuccessor { job: succ });
-            }
-        }
-    }
-
-    fn iterate(&mut self, m: usize) {
-        self.machines[m].begin_iteration();
-        while let Some(cand) = self.machines[m].pick_next(self.now) {
-            let job_id = cand.job_id;
-            let decision = self.decide(m, job_id, cand.charged);
-            match decision {
-                TDecision::Start => {
-                    let end = self.machines[m].start(cand, self.now);
-                    self.queue.push(end, Event::JobEnd { m, job: job_id });
-                    self.on_started(m, job_id);
-                }
-                TDecision::Wait(Scheme::Hold) => self.machines[m].hold(cand, self.now),
-                TDecision::Wait(Scheme::Yield) => self.machines[m].yield_job(cand, self.now),
-            }
-        }
-        self.arm_sweep_if_needed(m);
-    }
-
-    fn decide(&mut self, m: usize, job: JobId, charged: u64) -> TDecision {
-        let Some(c) = self.driving_constraint(m, job) else {
-            return TDecision::Start;
-        };
-        let other_m = 1 - m;
-        let other_id = if m == 0 { c.b } else { c.a };
-        match c.constraint {
-            TemporalConstraint::CoStart => {
-                // The 2-way rendezvous, inline: mate holding → start both;
-                // mate queued and startable → start both; else wait.
-                match self.machines[other_m].status(other_id) {
-                    JobStatus::Held => {
-                        if let Some(end) = self.machines[other_m].start_held(other_id, self.now) {
-                            self.queue.push(
-                                end,
-                                Event::JobEnd {
-                                    m: other_m,
-                                    job: other_id,
-                                },
-                            );
-                            self.on_started(other_m, other_id);
-                        }
-                        TDecision::Start
-                    }
-                    JobStatus::Queued | JobStatus::Unsubmitted => {
-                        if let Some(end) =
-                            self.machines[other_m].try_start_direct(other_id, self.now)
-                        {
-                            self.queue.push(
-                                end,
-                                Event::JobEnd {
-                                    m: other_m,
-                                    job: other_id,
-                                },
-                            );
-                            self.on_started(other_m, other_id);
-                            TDecision::Start
-                        } else {
-                            TDecision::Wait(self.effective_scheme(m, job, charged))
-                        }
-                    }
-                    JobStatus::Running | JobStatus::Finished => TDecision::Start,
-                }
-            }
-            TemporalConstraint::StartWithin { .. } => {
-                // Soft co-start: try to bring the mate along, but never
-                // block — the window gives slack, and the report grades it.
-                if self.machines[other_m].status(other_id) == JobStatus::Held {
-                    if let Some(end) = self.machines[other_m].start_held(other_id, self.now) {
-                        self.queue.push(
-                            end,
-                            Event::JobEnd {
-                                m: other_m,
-                                job: other_id,
-                            },
-                        );
-                        self.on_started(other_m, other_id);
-                    }
-                } else if let Some(end) =
-                    self.machines[other_m].try_start_direct(other_id, self.now)
-                {
-                    self.queue.push(
-                        end,
-                        Event::JobEnd {
-                            m: other_m,
-                            job: other_id,
-                        },
-                    );
-                    self.on_started(other_m, other_id);
-                }
-                TDecision::Start
-            }
-            TemporalConstraint::StartAfter { .. } => {
-                // The lower bound was enforced by gating; at this point the
-                // job just runs.
-                TDecision::Start
-            }
-        }
-    }
-
-    fn effective_scheme(&self, m: usize, job: JobId, charged: u64) -> Scheme {
-        let cfg = &self.cosched[m];
-        match cfg.scheme {
-            Scheme::Hold => {
-                if let Some(cap) = cfg.max_held_fraction {
-                    let would = (self.machines[m].held_nodes() + charged) as f64
-                        / self.capacities[m] as f64;
-                    if would > cap {
-                        return Scheme::Yield;
-                    }
-                }
-                Scheme::Hold
-            }
-            Scheme::Yield => {
-                if let Some(max) = cfg.max_yields_before_hold {
-                    if self.machines[m].yields_of(job) >= max {
-                        return Scheme::Hold;
-                    }
-                }
-                Scheme::Yield
-            }
-        }
-    }
-
-    fn sweep(&mut self, m: usize) {
-        self.sweep_armed[m] = false;
-        let Some(period) = self.cosched[m].release_period else {
-            return;
-        };
-        let matured: Vec<JobId> = self.machines[m]
-            .held_jobs()
-            .iter()
-            .filter(|&&job| {
-                self.machines[m]
-                    .hold_since(job)
-                    .is_some_and(|since| since + period <= self.now)
-            })
-            .copied()
-            .collect();
-        for job in matured {
-            self.machines[m].release_held(job, self.now);
-        }
-        self.iterate(m);
-        self.arm_sweep_if_needed(m);
-    }
-
-    fn arm_sweep_if_needed(&mut self, m: usize) {
-        if self.sweep_armed[m] {
-            return;
-        }
-        let Some(period) = self.cosched[m].release_period else {
-            return;
-        };
-        let oldest = self.machines[m]
-            .held_jobs()
-            .iter()
-            .filter_map(|&job| self.machines[m].hold_since(job))
-            .min();
-        if let Some(since) = oldest {
-            let at = (since + period).max(self.now);
-            self.queue.push(at, Event::ReleaseSweep { m });
-            self.sweep_armed[m] = true;
-        }
-    }
-
-    fn report(mut self, aborted: bool) -> TemporalReport {
-        let horizon = self.now.max(SimTime::from_secs(1));
-        let held = [
-            self.machines[0].held_node_seconds(horizon),
-            self.machines[1].held_node_seconds(horizon),
-        ];
-        let unfinished = self.jobs[0].len() + self.jobs[1].len()
-            - self.machines[0].records().len()
-            - self.machines[1].records().len();
-        let records = [
-            self.machines[0].take_records(),
-            self.machines[1].take_records(),
-        ];
-        let summaries = [
-            MachineSummary::from_records(
-                self.names[0].clone(),
-                &records[0],
-                self.capacities[0],
-                horizon,
-                held[0],
-            ),
-            MachineSummary::from_records(
-                self.names[1].clone(),
-                &records[1],
-                self.capacities[1],
-                horizon,
-                held[1],
-            ),
-        ];
+    /// Grade every constraint instance against a finished run.
+    pub(crate) fn grade(run: SimulationReport, constraints: Vec<ConstraintInstance>) -> Self {
         let starts: [HashMap<JobId, SimTime>; 2] = [
-            records[0].iter().map(|r| (r.id, r.start)).collect(),
-            records[1].iter().map(|r| (r.id, r.start)).collect(),
+            run.records[0].iter().map(|r| (r.id, r.start)).collect(),
+            run.records[1].iter().map(|r| (r.id, r.start)).collect(),
         ];
         let mut outcomes = Vec::new();
-        for c in &self.constraints {
+        for c in constraints {
             let (Some(&sa), Some(&sb)) = (starts[0].get(&c.a), starts[1].get(&c.b)) else {
                 continue;
             };
@@ -538,33 +120,89 @@ impl TemporalSimulation {
                 } => !b_before_a && offset >= min_delay && offset <= max_delay,
             };
             outcomes.push(ConstraintOutcome {
-                instance: *c,
+                instance: c,
                 offset,
                 b_before_a,
                 satisfied,
             });
         }
         TemporalReport {
-            records,
-            summaries,
+            records: run.records,
+            summaries: run.summaries,
             outcomes,
-            deadlocked: !aborted && unfinished > 0,
-            events: self.events,
+            deadlocked: run.deadlocked,
+            aborted: run.aborted,
+            forced_releases: run.forced_releases,
+            events: run.events,
         }
+    }
+
+    /// All constraints satisfied.
+    pub fn all_satisfied(&self) -> bool {
+        self.outcomes.iter().all(|o| o.satisfied)
+    }
+
+    /// Count of violated constraints.
+    pub fn violations(&self) -> usize {
+        self.outcomes.iter().filter(|o| !o.satisfied).count()
     }
 }
 
-/// Internal decision for the temporal driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TDecision {
-    Start,
-    Wait(Scheme),
+/// Validate constraint instances against the traces and register the
+/// `CoStart` ones as mate pairs, stamping their mate references.
+///
+/// # Panics
+/// Panics if a constraint references a missing job or a job has two
+/// decision-driving roles (`CoStart`/`StartWithin` on either side, or being
+/// a `StartAfter` successor; a job may precede several successors).
+pub(crate) fn co_start_pairs(
+    constraints: &[ConstraintInstance],
+    traces: &mut [Trace; 2],
+) -> MateRegistry {
+    let machines = [traces[0].machine(), traces[1].machine()];
+    let mut driving = HashSet::new();
+    let mut mates = MateRegistry::new();
+    for c in constraints {
+        for (m, job) in [(0, c.a), (1, c.b)] {
+            assert!(
+                traces[m].get(job).is_some(),
+                "constraint references missing job {job} on machine {m}"
+            );
+        }
+        let drivers = match c.constraint {
+            TemporalConstraint::CoStart | TemporalConstraint::StartWithin { .. } => {
+                vec![(0, c.a), (1, c.b)]
+            }
+            TemporalConstraint::StartAfter { .. } => vec![(1, c.b)],
+        };
+        for (m, job) in drivers {
+            assert!(
+                driving.insert((m, job)),
+                "job {job} on machine {m} has two decision-driving constraints"
+            );
+        }
+        if c.constraint == TemporalConstraint::CoStart {
+            mates.insert_pair((machines[0], c.a), (machines[1], c.b));
+            for (m, job, mate) in [(0, c.a, (machines[1], c.b)), (1, c.b, (machines[0], c.a))] {
+                if let Some(j) = traces[m].jobs_mut().iter_mut().find(|j| j.id == job) {
+                    j.mate = Some(MateRef {
+                        machine: mate.0,
+                        job: mate.1,
+                    });
+                }
+            }
+        }
+    }
+    mates
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosched_workload::MachineId;
+    use crate::config::{CoschedConfig, CoupledConfig, Scheme};
+    use crate::driver::CoupledSimulation;
+    use cosched_sched::MachineConfig;
+    use cosched_workload::{Job, MachineId};
 
     fn job(machine: usize, id: u64, submit: u64, size: u64, runtime: u64) -> Job {
         Job::new(
@@ -591,6 +229,15 @@ mod tests {
         ]
     }
 
+    /// The two machines and schemes above with an event cap of `max_events`.
+    fn config(max_events: u64) -> CoupledConfig {
+        CoupledConfig {
+            machines: machines(),
+            cosched: cosched(),
+            max_events,
+        }
+    }
+
     #[test]
     fn costart_constraint_behaves_like_coscheduling() {
         let traces = [
@@ -600,9 +247,8 @@ mod tests {
                 vec![job(1, 9, 0, 100, 300), job(1, 1, 30, 40, 600)],
             ),
         ];
-        let report = TemporalSimulation::new(
-            machines(),
-            cosched(),
+        let report = CoupledSimulation::temporal(
+            config(1_000_000),
             traces,
             vec![ConstraintInstance {
                 a: JobId(1),
@@ -610,7 +256,7 @@ mod tests {
                 constraint: TemporalConstraint::CoStart,
             }],
         )
-        .run();
+        .run_temporal();
         assert!(!report.deadlocked);
         assert!(report.all_satisfied(), "outcomes {:?}", report.outcomes);
         assert_eq!(report.outcomes[0].offset, SimDuration::ZERO);
@@ -630,9 +276,8 @@ mod tests {
             ]
         };
         let run = |window| {
-            TemporalSimulation::new(
-                machines(),
-                cosched(),
+            CoupledSimulation::temporal(
+                config(1_000_000),
                 traces(),
                 vec![ConstraintInstance {
                     a: JobId(1),
@@ -640,7 +285,7 @@ mod tests {
                     constraint: TemporalConstraint::StartWithin { window },
                 }],
             )
-            .run()
+            .run_temporal()
         };
         let wide = run(SimDuration::from_secs(600));
         assert!(!wide.deadlocked);
@@ -664,9 +309,8 @@ mod tests {
             Trace::from_jobs(MachineId(0), vec![job(0, 1, 0, 40, 2_000)]),
             Trace::from_jobs(MachineId(1), vec![job(1, 1, 5, 40, 600)]),
         ];
-        let report = TemporalSimulation::new(
-            machines(),
-            cosched(),
+        let report = CoupledSimulation::temporal(
+            config(1_000_000),
             traces,
             vec![ConstraintInstance {
                 a: JobId(1),
@@ -677,7 +321,7 @@ mod tests {
                 },
             }],
         )
-        .run();
+        .run_temporal();
         assert!(!report.deadlocked);
         let sb = report.records[1][0].start;
         assert_eq!(
@@ -700,9 +344,8 @@ mod tests {
                 vec![job(1, 9, 0, 100, 2_000), job(1, 1, 5, 40, 600)],
             ),
         ];
-        let report = TemporalSimulation::new(
-            machines(),
-            cosched(),
+        let report = CoupledSimulation::temporal(
+            config(1_000_000),
             traces,
             vec![ConstraintInstance {
                 a: JobId(1),
@@ -713,7 +356,7 @@ mod tests {
                 },
             }],
         )
-        .run();
+        .run_temporal();
         assert!(!report.deadlocked);
         assert_eq!(report.violations(), 1);
         assert_eq!(
@@ -734,9 +377,8 @@ mod tests {
             Trace::from_jobs(MachineId(0), vec![job(0, 1, 0, 40, 3_000)]),
             Trace::from_jobs(MachineId(1), vec![job(1, 1, 800, 40, 600)]),
         ];
-        let report = TemporalSimulation::new(
-            machines(),
-            cosched(),
+        let report = CoupledSimulation::temporal(
+            config(1_000_000),
             traces,
             vec![ConstraintInstance {
                 a: JobId(1),
@@ -747,7 +389,7 @@ mod tests {
                 },
             }],
         )
-        .run();
+        .run_temporal();
         assert_eq!(report.records[1][0].start, SimTime::from_secs(800));
         assert!(report.all_satisfied());
     }
@@ -759,9 +401,8 @@ mod tests {
             Trace::from_jobs(MachineId(0), vec![job(0, 1, 0, 10, 100)]),
             Trace::from_jobs(MachineId(1), vec![job(1, 1, 0, 10, 100)]),
         ];
-        TemporalSimulation::new(
-            machines(),
-            cosched(),
+        CoupledSimulation::temporal(
+            config(1_000_000),
             traces,
             vec![ConstraintInstance {
                 a: JobId(99),
@@ -769,6 +410,40 @@ mod tests {
                 constraint: TemporalConstraint::CoStart,
             }],
         );
+    }
+
+    #[test]
+    fn event_cap_reports_an_aborted_run() {
+        // A hold waiting on a mate that is blocked for ten days re-checks
+        // its release sweep every 20 minutes: a cap of 5 events trips long
+        // before the run ends, and the report must say so.
+        let traces = [
+            Trace::from_jobs(MachineId(0), vec![job(0, 1, 0, 40, 600)]),
+            Trace::from_jobs(
+                MachineId(1),
+                vec![job(1, 9, 0, 100, 864_000), job(1, 1, 10, 40, 600)],
+            ),
+        ];
+        let run = |max_events| {
+            CoupledSimulation::temporal(
+                config(max_events),
+                traces.clone(),
+                vec![ConstraintInstance {
+                    a: JobId(1),
+                    b: JobId(1),
+                    constraint: TemporalConstraint::CoStart,
+                }],
+            )
+            .run_temporal()
+        };
+        let capped = run(5);
+        assert!(capped.aborted, "the event cap must be reported");
+        assert!(!capped.deadlocked, "an aborted run is not a deadlock");
+        assert_eq!(capped.events, 5);
+        assert!(capped.outcomes.is_empty(), "the pair never started");
+        let full = run(1_000_000);
+        assert!(!full.aborted && !full.deadlocked);
+        assert!(full.all_satisfied(), "{:?}", full.outcomes);
     }
 
     #[test]
@@ -780,7 +455,7 @@ mod tests {
             ),
             Trace::from_jobs(MachineId(1), vec![job(1, 1, 0, 10, 100)]),
         ];
-        let report = TemporalSimulation::new(machines(), cosched(), traces, vec![]).run();
+        let report = CoupledSimulation::temporal(config(1_000_000), traces, vec![]).run_temporal();
         assert!(!report.deadlocked);
         assert_eq!(report.records[0].len(), 2);
         assert_eq!(report.records[1].len(), 1);

@@ -14,8 +14,8 @@
 //! ```
 
 use coupled_cosched::cosched::config::CoschedConfig;
-use coupled_cosched::cosched::nway::{GroupId, GroupRegistry, NwayConfig, NwaySimulation};
-use coupled_cosched::cosched::Scheme;
+use coupled_cosched::cosched::nway::{GroupId, GroupRegistry};
+use coupled_cosched::cosched::{CoupledSimulation, NwayConfig, Scheme};
 use coupled_cosched::prelude::*;
 use coupled_cosched::sim::{SimDuration, SimTime};
 
@@ -83,7 +83,9 @@ fn main() {
         ),
     ];
 
-    let report = NwaySimulation::new(config, traces, registry).run();
+    let report = CoupledSimulation::nway(config, traces, registry)
+        .run_nway()
+        .report;
 
     println!(
         "events: {}, deadlocked: {}",

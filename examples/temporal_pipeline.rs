@@ -13,10 +13,8 @@
 //! ```
 
 use coupled_cosched::cosched::config::CoschedConfig;
-use coupled_cosched::cosched::temporal::{
-    ConstraintInstance, TemporalConstraint, TemporalSimulation,
-};
-use coupled_cosched::cosched::Scheme;
+use coupled_cosched::cosched::temporal::{ConstraintInstance, TemporalConstraint};
+use coupled_cosched::cosched::{CoupledConfig, CoupledSimulation, Scheme};
 use coupled_cosched::prelude::*;
 use coupled_cosched::sim::{SimDuration, SimTime};
 
@@ -32,14 +30,17 @@ fn job(machine: usize, id: u64, submit_mins: u64, size: u64, runtime_mins: u64) 
 }
 
 fn main() {
-    let machines = [
-        MachineConfig::flat("compute", MachineId(0), 256),
-        MachineConfig::flat("analysis", MachineId(1), 32),
-    ];
-    let cosched = [
-        CoschedConfig::paper(Scheme::Hold),
-        CoschedConfig::paper(Scheme::Yield),
-    ];
+    let config = CoupledConfig {
+        machines: [
+            MachineConfig::flat("compute", MachineId(0), 256),
+            MachineConfig::flat("analysis", MachineId(1), 32),
+        ],
+        cosched: [
+            CoschedConfig::paper(Scheme::Hold),
+            CoschedConfig::paper(Scheme::Yield),
+        ],
+        max_events: 100_000,
+    };
 
     let traces = [
         Trace::from_jobs(
@@ -76,11 +77,11 @@ fn main() {
         },
     ];
 
-    let report = TemporalSimulation::new(machines, cosched, traces, constraints).run();
+    let report = CoupledSimulation::temporal(config, traces, constraints).run_temporal();
 
     println!(
-        "events: {}, deadlocked: {}",
-        report.events, report.deadlocked
+        "events: {}, deadlocked: {}, aborted: {}",
+        report.events, report.deadlocked, report.aborted
     );
     for (m, recs) in report.records.iter().enumerate() {
         for r in recs {

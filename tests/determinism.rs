@@ -2,7 +2,11 @@
 //! the foundation of the harness's seed-paired (common-random-numbers)
 //! comparisons between baseline and coscheduled runs.
 
-use coupled_cosched::cosched::{CoschedConfig, CoupledConfig, CoupledSimulation, SchemeCombo};
+use coupled_cosched::cosched::nway::{GroupId, GroupRegistry};
+use coupled_cosched::cosched::{
+    CoschedConfig, CoupledConfig, CoupledSimulation, NwayConfig, Scheme, SchemeCombo,
+};
+use coupled_cosched::obs::read_trace_str;
 use coupled_cosched::prelude::*;
 use coupled_cosched::sim::{SimDuration, SimRng};
 use coupled_cosched::workload::{pairing, MachineModel, TraceGenerator};
@@ -145,6 +149,128 @@ fn teed_phase_clock_keeps_trace_and_report_identical() {
     );
     assert_eq!(calls("rpc-call"), teed.report.stats.rpc_calls);
     assert_eq!(clock.rpc_latency().count, teed.report.stats.rpc_calls);
+}
+
+/// Three machines with background load, ten 3-way co-start groups, and
+/// five mate pairs between machines 0 and 2.
+fn three_way_workload(seed: u64) -> (Vec<Trace>, GroupRegistry) {
+    let rng = SimRng::seed_from_u64(seed);
+    let mut traces: Vec<Trace> = (0..3)
+        .map(|m| {
+            TraceGenerator::new(
+                MachineModel::eureka().with_runtime(1_000.0, 1.0),
+                MachineId(m),
+            )
+            .span(SimDuration::from_days(1))
+            .target_utilization(0.5)
+            .generate(&mut rng.fork(m as u64))
+        })
+        .collect();
+    let mut groups = GroupRegistry::new();
+    for g in 0..10u64 {
+        let id = JobId(100_000 + g);
+        for (m, trace) in traces.iter_mut().enumerate() {
+            trace.push(Job::new(
+                id,
+                MachineId(m),
+                SimTime::from_secs(2_000 + g * 5_000 + m as u64 * 90),
+                8 + g,
+                SimDuration::from_secs(1_200),
+                SimDuration::from_secs(2_400),
+            ));
+            trace.resort();
+        }
+        groups.insert_group(GroupId(g), (0..3).map(|m| (MachineId(m), id)).collect());
+    }
+    for g in 0..5u64 {
+        let id = JobId(200_000 + g);
+        for m in [0, 2] {
+            traces[m].push(Job::new(
+                id,
+                MachineId(m),
+                SimTime::from_secs(3_000 + g * 7_000 + m as u64 * 60),
+                20,
+                SimDuration::from_secs(900),
+                SimDuration::from_secs(1_800),
+            ));
+            traces[m].resort();
+        }
+        groups.insert_group(
+            GroupId(100 + g),
+            vec![(MachineId(0), id), (MachineId(2), id)],
+        );
+    }
+    (traces, groups)
+}
+
+fn three_way_config() -> NwayConfig {
+    NwayConfig {
+        machines: (0..3)
+            .map(|m| {
+                let mut c = MachineConfig::eureka(MachineId(m));
+                c.name = format!("M{m}");
+                c
+            })
+            .collect(),
+        cosched: [Scheme::Hold, Scheme::Yield, Scheme::Hold]
+            .map(CoschedConfig::paper)
+            .into(),
+        max_events: 1_000_000,
+    }
+}
+
+/// The 2-way invariants hold for a 3-way group run on the same event loop:
+/// same seed ⇒ identical JSONL bytes, traced report == untraced report, and
+/// the trace reconstructs every group member's lifecycle and feeds the
+/// span and critical-path analyzers.
+#[test]
+fn three_way_group_traces_are_byte_identical_and_reconstruct() {
+    let traced = || {
+        let (traces, groups) = three_way_workload(21);
+        let sink = SinkObserver::new(JsonlSink::new(Vec::new()));
+        CoupledSimulation::with_groups(three_way_config(), traces, groups, sink).run_nway()
+    };
+    let (first, second) = (traced(), traced());
+    let bytes = first.observer.into_sink().into_inner();
+    assert!(!bytes.is_empty());
+    assert_eq!(
+        bytes,
+        second.observer.into_sink().into_inner(),
+        "same seed must write byte-identical JSONL traces"
+    );
+
+    let (traces, groups) = three_way_workload(21);
+    let untraced = CoupledSimulation::nway(three_way_config(), traces, groups.clone())
+        .run_nway()
+        .report;
+    assert_eq!(first.report, untraced, "tracing must not change the run");
+    assert!(!untraced.deadlocked && !untraced.aborted);
+    assert_eq!(untraced.group_spreads.len(), 15, "every group completes");
+    assert!(untraced.all_groups_synchronized());
+    assert!(
+        untraced.stats.rpc_calls > 0,
+        "groups rendezvous over the protocol"
+    );
+    assert!(untraced.stats.holds > 0 && untraced.stats.yields > 0);
+
+    let records = read_trace_str(&String::from_utf8(bytes).unwrap()).unwrap();
+    SpanTree::from_records(&records).expect("well-formed spans");
+    CriticalPathReport::from_records(&records).expect("pair roots name machines 0 and 1");
+    let set = LifecycleSet::from_records(&records).expect("a consistent lifecycle");
+    let finished: usize = untraced.records.iter().map(Vec::len).sum();
+    assert_eq!(set.jobs.len(), finished, "one lifecycle per job");
+    for members in groups.iter() {
+        for &(machine, job) in members {
+            let lc = &set.jobs[&(machine.0, job.0)];
+            let rec = untraced.records[machine.0]
+                .iter()
+                .find(|r| r.id == job)
+                .unwrap();
+            assert!(lc.paired, "{machine}/{job}");
+            assert_eq!(lc.start, Some(rec.start.as_secs()), "{machine}/{job}");
+            assert_eq!(lc.end, Some(rec.end.as_secs()), "{machine}/{job}");
+        }
+    }
 }
 
 #[test]

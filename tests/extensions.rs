@@ -3,11 +3,9 @@
 //! comparator, exercised through the facade crate at randomized scale.
 
 use coupled_cosched::cosched::config::CoschedConfig;
-use coupled_cosched::cosched::nway::{GroupId, GroupRegistry, NwayConfig, NwaySimulation};
-use coupled_cosched::cosched::temporal::{
-    ConstraintInstance, TemporalConstraint, TemporalSimulation,
-};
-use coupled_cosched::cosched::Scheme;
+use coupled_cosched::cosched::nway::{GroupId, GroupRegistry};
+use coupled_cosched::cosched::temporal::{ConstraintInstance, TemporalConstraint};
+use coupled_cosched::cosched::{CoupledConfig, CoupledSimulation, NwayConfig, Scheme};
 use coupled_cosched::prelude::*;
 use coupled_cosched::resv::ReservationSimulation;
 use coupled_cosched::sim::{SimDuration, SimRng, SimTime};
@@ -74,7 +72,9 @@ fn nway_randomized_groups_synchronize_across_four_machines() {
             .collect(),
         max_events: 2_000_000,
     };
-    let report = NwaySimulation::new(config, traces, registry).run();
+    let report = CoupledSimulation::nway(config, traces, registry)
+        .run_nway()
+        .report;
     assert!(!report.deadlocked);
     assert!(!report.aborted);
     assert_eq!(report.group_spreads.len(), 20, "every group must complete");
@@ -127,19 +127,18 @@ fn temporal_mixed_constraints_on_random_background() {
     a.resort();
     b.resort();
 
-    let report = TemporalSimulation::new(
-        [
+    let config = CoupledConfig {
+        machines: [
             MachineConfig::eureka(MachineId(0)),
             MachineConfig::eureka(MachineId(1)),
         ],
-        [
+        cosched: [
             CoschedConfig::paper(Scheme::Hold),
             CoschedConfig::paper(Scheme::Yield),
         ],
-        [a, b],
-        constraints,
-    )
-    .run();
+        max_events: 10_000_000,
+    };
+    let report = CoupledSimulation::temporal(config, [a, b], constraints).run_temporal();
     assert!(!report.deadlocked);
     assert_eq!(report.outcomes.len(), 6);
     // CoStart constraints are exact; the generous StartAfter windows hold
@@ -152,6 +151,93 @@ fn temporal_mixed_constraints_on_random_background() {
             assert!(o.offset >= min_delay);
         }
     }
+}
+
+/// DESIGN §7.2's livelock, as a two-machine group run and as the same
+/// pairs under `CoStart` constraints. Flat 100/100 machines, hold scheme,
+/// no held-fraction cap: on machine 0 three 30-node members arrive at
+/// t = 0/300/600 s; their machine-1 mates arrive 10 s later behind a
+/// 100-node job that runs ten days. A 90-node regular job arrives on
+/// machine 0 at t = 700 s, blocked by the 90 held nodes. The batch release
+/// frees all three holds at the first sweep (t = 1,200 s) and the regular
+/// job starts then. An age-filtered release livelocks here: each sweep
+/// frees only the matured holds, which re-hold with fresh staggered ages,
+/// and the regular job waits until the mates start (864,600 s) through
+/// 2,157 forced releases.
+#[test]
+fn staggered_holds_release_as_one_batch_in_every_mode() {
+    let traces = || {
+        vec![
+            Trace::from_jobs(
+                MachineId(0),
+                vec![
+                    job(0, 1, 0, 30, 600),
+                    job(0, 2, 300, 30, 600),
+                    job(0, 3, 600, 30, 600),
+                    job(0, 9, 700, 90, 600),
+                ],
+            ),
+            Trace::from_jobs(
+                MachineId(1),
+                vec![
+                    job(1, 100, 0, 100, 864_000),
+                    job(1, 1, 10, 30, 600),
+                    job(1, 2, 310, 30, 600),
+                    job(1, 3, 610, 30, 600),
+                ],
+            ),
+        ]
+    };
+    let hold = CoschedConfig::paper(Scheme::Hold).with_max_held_fraction(None);
+    let config = CoupledConfig {
+        machines: [
+            MachineConfig::flat("M0", MachineId(0), 100),
+            MachineConfig::flat("M1", MachineId(1), 100),
+        ],
+        cosched: [hold.clone(), hold],
+        max_events: 1_000_000,
+    };
+    let pairs = 1..=3u64;
+
+    let mut groups = GroupRegistry::new();
+    for g in pairs.clone() {
+        groups.insert_group(
+            GroupId(g),
+            vec![(MachineId(0), JobId(g)), (MachineId(1), JobId(g))],
+        );
+    }
+    let nway = CoupledSimulation::nway(config.clone().into(), traces(), groups)
+        .run_nway()
+        .report;
+    assert!(nway.all_groups_synchronized(), "{:?}", nway.group_spreads);
+    let as_groups = (&nway.records[0], nway.forced_releases, nway.deadlocked);
+
+    let constraints = pairs
+        .map(|g| ConstraintInstance {
+            a: JobId(g),
+            b: JobId(g),
+            constraint: TemporalConstraint::CoStart,
+        })
+        .collect();
+    let [a, b]: [Trace; 2] = traces().try_into().unwrap();
+    let temporal = CoupledSimulation::temporal(config, [a, b], constraints).run_temporal();
+    assert!(temporal.all_satisfied(), "{:?}", temporal.outcomes);
+    let as_constraints = (
+        &temporal.records[0],
+        temporal.forced_releases,
+        temporal.deadlocked,
+    );
+
+    for (mode, (records, forced_releases, deadlocked)) in
+        [("groups", as_groups), ("constraints", as_constraints)]
+    {
+        let regular = records.iter().find(|r| r.id == JobId(9)).unwrap();
+        assert!(!deadlocked, "{mode}");
+        assert_eq!(regular.start, SimTime::from_secs(1_200), "{mode}");
+        assert_eq!(forced_releases, 3, "{mode}");
+    }
+    assert_eq!(nway.records[0], temporal.records[0]);
+    assert_eq!(nway.records[1], temporal.records[1]);
 }
 
 #[test]
@@ -184,7 +270,7 @@ fn reservation_baseline_synchronizes_but_fragments() {
         "walltime tails must register as loss"
     );
 
-    use coupled_cosched::cosched::{CoupledConfig, CoupledSimulation, SchemeCombo};
+    use coupled_cosched::cosched::SchemeCombo;
     let mut cfg = CoupledConfig {
         machines: [
             MachineConfig::eureka(MachineId(0)),
