@@ -3,7 +3,7 @@
 //! and the protocol overhead per coordination call.
 
 use cosched_bench::harness;
-use cosched_core::SchemeCombo;
+use cosched_core::{CoupledConfig, CoupledSimulation, SchemeCombo};
 use cosched_proto::{frame, Request, Response};
 use cosched_workload::JobId;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -16,7 +16,10 @@ fn bench_coupled_day(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &combo, |b, &combo| {
             b.iter_batched(
                 || harness::anl_load_traces(1, 3, 0.5),
-                |traces| black_box(harness::run_one(combo, traces).events),
+                |traces| {
+                    let config = combo.map_or_else(CoupledConfig::anl_baseline, CoupledConfig::anl);
+                    black_box(CoupledSimulation::new(config, traces).run().events)
+                },
                 criterion::BatchSize::SmallInput,
             )
         });

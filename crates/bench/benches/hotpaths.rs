@@ -5,8 +5,8 @@
 //! baseline numbers live in `BENCH_sim.json`; the allocation-freeness of
 //! the scratch paths is asserted by `tests/alloc_free.rs`.
 
-use cosched_bench::harness::{anl_load_traces, run_one};
-use cosched_core::SchemeCombo;
+use cosched_bench::harness::anl_load_traces;
+use cosched_core::{CoupledConfig, CoupledSimulation, SchemeCombo};
 use cosched_sched::alloc::BuddyAllocator;
 use cosched_sched::backfill::{compute_shadow, compute_shadow_sorted, ProjectedRelease};
 use cosched_sched::policy::{order_queue, order_queue_into, OrderScratch};
@@ -134,7 +134,12 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.bench_function("one_day_yy", |b| {
         b.iter(|| {
             let traces = anl_load_traces(1, 1, 0.5);
-            black_box(run_one(Some(SchemeCombo::YY), traces).summaries[0].jobs)
+            black_box(
+                CoupledSimulation::new(CoupledConfig::anl(SchemeCombo::YY), traces)
+                    .run()
+                    .summaries[0]
+                    .jobs,
+            )
         })
     });
     group.finish();

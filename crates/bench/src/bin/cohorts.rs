@@ -6,12 +6,12 @@
 //! §V-D). This harness splits each machine's records into paired and
 //! regular cohorts and size classes under every scheme combination.
 use cosched_bench::{harness, Scale};
-use cosched_core::SchemeCombo;
+use cosched_core::{CoupledConfig, CoupledSimulation, SchemeCombo};
 use cosched_metrics::table::{num, Table};
 use cosched_metrics::CohortBreakdown;
 
-fn main() {
-    let scale = Scale::from_env();
+fn main() -> Result<(), String> {
+    let scale = Scale::from_env()?;
     eprintln!("running cohort analysis at {scale:?}…");
 
     for (m, name, capacity) in [(0usize, "Intrepid", 40_960u64), (1, "Eureka", 100)] {
@@ -41,7 +41,8 @@ fn main() {
             let mut counts = [0usize; 2];
             for seed in 1..=scale.seeds {
                 let traces = harness::anl_load_traces(seed, scale.days, 0.50);
-                let report = harness::run_one(combo, traces);
+                let config = combo.map_or_else(CoupledConfig::anl_baseline, CoupledConfig::anl);
+                let report = CoupledSimulation::new(config, traces).run();
                 let b = CohortBreakdown::of(&report.records[m], capacity);
                 counts[0] += b.paired.count;
                 counts[1] += b.regular.count;
@@ -68,4 +69,5 @@ fn main() {
         print!("{t}");
         println!();
     }
+    Ok(())
 }

@@ -12,12 +12,12 @@
 //! scheduler pays a markedly higher regular-job waiting cost and loses far
 //! more service units (entire walltime tails instead of hold windows).
 use cosched_bench::{harness, Scale};
-use cosched_core::SchemeCombo;
+use cosched_core::{CoupledConfig, CoupledSimulation, SchemeCombo};
 use cosched_metrics::table::{num, pct, Table};
 use cosched_resv::ReservationSimulation;
 
-fn main() {
-    let scale = Scale::from_env();
+fn main() -> Result<(), String> {
+    let scale = Scale::from_env()?;
     eprintln!("running reservation comparison at {scale:?}…");
 
     let mut table = Table::new(
@@ -62,16 +62,16 @@ fn main() {
             row.2 &= sync;
         };
 
-        let r = harness::run_one(None, traces.clone());
+        let r = CoupledSimulation::new(CoupledConfig::anl_baseline(), traces.clone()).run();
         add(&mut rows[0], &r.summaries[0], &r.summaries[1], true);
-        let r = harness::run_one(Some(SchemeCombo::YY), traces.clone());
+        let r = CoupledSimulation::new(CoupledConfig::anl(SchemeCombo::YY), traces.clone()).run();
         add(
             &mut rows[1],
             &r.summaries[0],
             &r.summaries[1],
             r.all_pairs_synchronized(),
         );
-        let r = harness::run_one(Some(SchemeCombo::HH), traces.clone());
+        let r = CoupledSimulation::new(CoupledConfig::anl(SchemeCombo::HH), traces.clone()).run();
         add(
             &mut rows[2],
             &r.summaries[0],
@@ -105,4 +105,5 @@ fn main() {
         ]);
     }
     print!("{table}");
+    Ok(())
 }

@@ -1,4 +1,4 @@
-//! Parallel simulation campaign runner.
+//! Simulation campaign runner: the one path every sweep runs through.
 //!
 //! Every paper figure (Figs. 3–10) is a sweep of (scheme combo × grid
 //! point × seed) cases, and each *cell* of that grid is an independent
@@ -7,12 +7,14 @@
 //! cells are enumerated in a fixed **submission order**, fanned out over a
 //! pool of scoped worker threads (the `crossbeam` shim: a pre-filled
 //! multi-consumer channel as the work queue), and their outcomes are
-//! reassembled by submission index before folding.
+//! reassembled by submission index before folding. [`sweep`] is the entry
+//! point; `cosched figures` renders its points as the paper's tables and
+//! `cosched bench campaign` times it.
 //!
 //! # Determinism invariant
 //!
-//! A parallel campaign is **byte-identical** to the serial one. Two things
-//! make this hold, and both are load-bearing:
+//! A campaign's outcomes are **byte-identical** at any worker count. Two
+//! things make this hold, and both are load-bearing:
 //!
 //! * each cell's [`SeedOutcome`] is a pure function of `(combo, traces)` —
 //!   no shared mutable state, no wall-clock input;
@@ -21,12 +23,12 @@
 //!   order.
 //!
 //! The invariant is pinned by a tier-1 integration test
-//! (`tests/campaign.rs`) comparing serialized bytes of serial and parallel
-//! sweeps.
+//! (`tests/campaign.rs`) comparing serialized bytes of 1-worker and
+//! 4-worker sweeps.
 
 use crate::harness::{
-    anl_load_traces, anl_proportion_traces, fold_outcomes, run_seed, LoadSweep, PropSweep, Scale,
-    SeedOutcome, SweepPoint, EUREKA_UTILS, PROPORTIONS,
+    anl_load_traces, anl_proportion_traces, fold_outcomes, run_seed, Scale, SeedOutcome,
+    SweepPoint, EUREKA_UTILS, PROPORTIONS,
 };
 use cosched_core::{CoupledConfig, CoupledSimulation, SchemeCombo};
 use cosched_obs::{PhaseClock, PhaseSnapshot};
@@ -70,7 +72,7 @@ pub struct CampaignCell {
     pub x: f64,
     /// Scheme combination; `None` is the no-coscheduling baseline.
     pub combo: Option<SchemeCombo>,
-    /// Trace seed (1-based, matching the serial harness).
+    /// Trace seed (1-based).
     pub seed: u64,
     /// Trace span in days.
     pub days: u64,
@@ -93,8 +95,7 @@ impl CampaignCell {
 
 /// Enumerate a sweep's cells in submission order: for each grid point, the
 /// baseline then the four combos (the order [`SchemeCombo::ALL`] lists
-/// them), each across all seeds — exactly the order the serial
-/// `load_sweep` / `prop_sweep` loops visit.
+/// them), each across all seeds — the order [`assemble_points`] folds.
 pub fn sweep_cells(kind: SweepKind, scale: Scale) -> Vec<CampaignCell> {
     let mut cells = Vec::new();
     for &x in kind.grid() {
@@ -130,7 +131,7 @@ pub fn sweep_cells(kind: SweepKind, scale: Scale) -> Vec<CampaignCell> {
 pub fn run_cells(cells: &[CampaignCell], threads: usize) -> Vec<SeedOutcome> {
     assert!(threads > 0, "campaign needs at least one worker");
     if threads == 1 || cells.len() <= 1 {
-        // The serial reference path: no pool, same fold order.
+        // The one-worker reference path: no pool, same fold order.
         return cells.iter().map(CampaignCell::run).collect();
     }
     let (task_tx, task_rx) = crossbeam::channel::unbounded();
@@ -187,25 +188,12 @@ pub fn assemble_points(kind: SweepKind, scale: Scale, outcomes: &[SeedOutcome]) 
         .collect()
 }
 
-/// Parallel equivalent of `harness::load_sweep`: same points, computed on
-/// `threads` workers.
-pub fn parallel_load_sweep(scale: Scale, threads: usize) -> LoadSweep {
-    let cells = sweep_cells(SweepKind::Load, scale);
-    let outcomes = run_cells(&cells, threads);
-    LoadSweep {
-        points: assemble_points(SweepKind::Load, scale, &outcomes),
-        scale,
-    }
-}
-
-/// Parallel equivalent of `harness::prop_sweep`.
-pub fn parallel_prop_sweep(scale: Scale, threads: usize) -> PropSweep {
-    let cells = sweep_cells(SweepKind::Proportion, scale);
-    let outcomes = run_cells(&cells, threads);
-    PropSweep {
-        points: assemble_points(SweepKind::Proportion, scale, &outcomes),
-        scale,
-    }
+/// Run a whole sweep on `threads` workers: every grid point's baseline and
+/// four combos, each averaged over `scale.seeds` seeds. The points are the
+/// same at any worker count.
+pub fn sweep(kind: SweepKind, scale: Scale, threads: usize) -> Vec<SweepPoint> {
+    let cells = sweep_cells(kind, scale);
+    assemble_points(kind, scale, &run_cells(&cells, threads))
 }
 
 /// One timed execution of the cell set at a given worker count.
@@ -246,13 +234,8 @@ pub struct CampaignReport {
 
 /// Run a campaign at 1 thread (the reference) and at each requested worker
 /// count, timing each pass, verifying parallel outcomes equal serial ones,
-/// and profiling one representative cell. Returns the sweep points (from
-/// the serial pass) alongside the benchmark report.
-pub fn bench_campaign(
-    kind: SweepKind,
-    scale: Scale,
-    thread_counts: &[usize],
-) -> (Vec<SweepPoint>, CampaignReport) {
+/// and profiling one representative cell.
+pub fn bench_campaign(kind: SweepKind, scale: Scale, thread_counts: &[usize]) -> CampaignReport {
     let cells = sweep_cells(kind, scale);
     let started = Instant::now();
     let serial = run_cells(&cells, 1);
@@ -279,17 +262,15 @@ pub fn bench_campaign(
             speedup_vs_serial: serial_secs / secs.max(1e-9),
         });
     }
-    let phase_profile = phase_profile_of(&cells[0]);
-    let report = CampaignReport {
+    CampaignReport {
         sweep: kind.label().to_string(),
         days: scale.days,
         seeds: scale.seeds,
         cells: cells.len(),
         timings,
         deterministic,
-        phase_profile,
-    };
-    (assemble_points(kind, scale, &serial), report)
+        phase_profile: phase_profile_of(&cells[0]),
+    }
 }
 
 /// Compare a freshly measured campaign against a committed baseline.
@@ -350,10 +331,9 @@ pub fn check_campaign(
 
 /// Wall-clock phase profile of one cell, run with a [`PhaseClock`].
 fn phase_profile_of(cell: &CampaignCell) -> Vec<PhaseSnapshot> {
-    let config = match cell.combo {
-        Some(c) => CoupledConfig::anl(c),
-        None => CoupledConfig::anl_baseline(),
-    };
+    let config = cell
+        .combo
+        .map_or_else(CoupledConfig::anl_baseline, CoupledConfig::anl);
     CoupledSimulation::with_observer(config, cell.traces(), PhaseClock::new())
         .run_traced()
         .observer

@@ -1,9 +1,13 @@
 //! Table builders: turn sweep results into the rows/series each paper
-//! figure plots. Shared by the per-figure binaries and `all_experiments`.
+//! figure plots, and [`report`], which runs both sweeps once and renders
+//! every table of the evaluation (`cosched figures`).
 
-use crate::harness::{CaseResult, LoadSweep, PropSweep};
+use crate::campaign::{sweep, SweepKind};
+use crate::harness::{anl_load_traces, anl_with, CaseResult, Scale, SweepPoint};
+use cosched_core::{CoupledConfig, CoupledSimulation, SchemeCombo};
 use cosched_metrics::table::{num, pct, Table};
 use cosched_metrics::MachineSummary;
+use std::fmt::Write;
 
 /// One sweep grid point as consumed by the table builders: the case label
 /// (utilization or proportion), the baseline result, and the per-combination
@@ -18,12 +22,20 @@ fn machine_of(case: &CaseResult, m: usize) -> &MachineSummary {
     }
 }
 
-fn util_label(u: f64) -> String {
-    format!("{u:.2}")
+/// The x-axis label of one grid point: a utilization or a percentage.
+fn case_label(kind: SweepKind, x: f64) -> String {
+    match kind {
+        SweepKind::Load => format!("{x:.2}"),
+        SweepKind::Proportion => format!("{}%", num(x * 100.0, 1)),
+    }
 }
 
-fn prop_label(p: f64) -> String {
-    format!("{}%", num(p * 100.0, 1))
+/// What a sweep's figures are plotted against, as their titles say it.
+fn axis(kind: SweepKind) -> &'static str {
+    match kind {
+        SweepKind::Load => "Eureka sys. util.",
+        SweepKind::Proportion => "paired proportion",
+    }
 }
 
 /// Fig. 3 / Fig. 7: average waiting time (minutes) with baseline and
@@ -135,29 +147,14 @@ pub fn fig_loss(points: &[CasePoint<'_>], m: usize, title: &str) -> Table {
     t
 }
 
-/// Adapt a [`LoadSweep`] into the generic point shape used by the builders.
-pub fn load_points(sweep: &LoadSweep) -> Vec<CasePoint<'_>> {
+/// Adapt a sweep's points into the generic point shape used by the
+/// builders.
+pub fn points(kind: SweepKind, sweep: &[SweepPoint]) -> Vec<CasePoint<'_>> {
     sweep
-        .points
         .iter()
-        .map(|(u, base, combos)| {
+        .map(|(x, base, combos)| {
             (
-                util_label(*u),
-                base,
-                combos.iter().map(|(c, r)| (c.label(), r)).collect(),
-            )
-        })
-        .collect()
-}
-
-/// Adapt a [`PropSweep`] into the generic point shape used by the builders.
-pub fn prop_points(sweep: &PropSweep) -> Vec<CasePoint<'_>> {
-    sweep
-        .points
-        .iter()
-        .map(|(p, base, combos)| {
-            (
-                prop_label(*p),
+                case_label(kind, *x),
                 base,
                 combos.iter().map(|(c, r)| (c.label(), r)).collect(),
             )
@@ -197,25 +194,93 @@ pub fn validation_table(points: &[CasePoint<'_>], title: &str) -> Table {
     t
 }
 
+/// A per-machine figure builder: `(points, machine index, title)`.
+type Builder = fn(&[CasePoint<'_>], usize, &str) -> Table;
+
+/// The paper's evaluation figures in print order: figure number, the sweep
+/// it plots, its builder, and what it measures.
+const FIGURES: [(u32, SweepKind, Builder, &str); 8] = [
+    (3, SweepKind::Load, fig_wait, "avg wait"),
+    (4, SweepKind::Load, fig_slowdown, "avg slowdown"),
+    (5, SweepKind::Load, fig_sync, "avg job sync time"),
+    (6, SweepKind::Load, fig_loss, "service-unit loss"),
+    (7, SweepKind::Proportion, fig_wait, "avg wait"),
+    (8, SweepKind::Proportion, fig_slowdown, "avg slowdown"),
+    (9, SweepKind::Proportion, fig_sync, "avg job sync time"),
+    (10, SweepKind::Proportion, fig_loss, "service-unit loss"),
+];
+
+/// Run the load and proportion sweeps once at `scale` on `threads` workers
+/// and render the whole evaluation as Markdown: the §V-B validation
+/// tables, both panels of Figs. 3–10, and the §V-B deadlock demonstration.
+/// The text is the same at any worker count.
+pub fn report(scale: Scale, threads: usize) -> String {
+    let load = sweep(SweepKind::Load, scale, threads);
+    let prop = sweep(SweepKind::Proportion, scale, threads);
+    let load = points(SweepKind::Load, &load);
+    let prop = points(SweepKind::Proportion, &prop);
+    let mut out = String::new();
+    let _ = writeln!(out, "# Reproduction run — all experiments\n");
+    let _ = writeln!(
+        out,
+        "Scale: {} days per trace, {} seeds per case.\n",
+        scale.days, scale.seeds
+    );
+    for (pts, name) in [(&load, "load"), (&prop, "proportion")] {
+        let title = format!("Validation — {name} sweep");
+        let _ = writeln!(out, "{}", validation_table(pts, &title));
+    }
+    for (fig, kind, build, noun) in FIGURES {
+        let pts = if kind == SweepKind::Load {
+            &load
+        } else {
+            &prop
+        };
+        for (m, panel, name) in [(0, 'a', "Intrepid"), (1, 'b', "Eureka")] {
+            let title = format!("Fig. {fig}({panel}) {name} {noun} by {}", axis(kind));
+            let _ = writeln!(out, "{}", build(pts, m, &title));
+        }
+    }
+
+    // Deadlock demonstration (§V-B): HH with and without the release
+    // enhancement on one load-sweep workload.
+    let hh = |config| CoupledSimulation::new(config, anl_load_traces(1, scale.days, 0.50)).run();
+    let without = hh(anl_with(SchemeCombo::HH, |c| c.release_period = None));
+    let with = hh(CoupledConfig::anl(SchemeCombo::HH));
+    let _ = writeln!(out, "## Deadlock (§V-B)\n");
+    let _ = writeln!(out, "| configuration | deadlocked | unfinished jobs |");
+    let _ = writeln!(out, "|---------------|------------|-----------------|");
+    let _ = writeln!(
+        out,
+        "| HH, release enhancement off | {} | {:?} |",
+        without.deadlocked, without.unfinished
+    );
+    let _ = writeln!(
+        out,
+        "| HH, 20-minute release       | {} | {:?} |",
+        with.deadlocked, with.unfinished
+    );
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_case, Scale};
-    use cosched_core::SchemeCombo;
+    use crate::harness::{fold_outcomes, run_seed, SeedOutcome};
 
     type OwnedPoint = (String, CaseResult, Vec<(String, CaseResult)>);
 
     fn tiny_points() -> Vec<OwnedPoint> {
         let scale = Scale::smoke();
-        let base = run_case(None, scale, |s| {
-            crate::harness::anl_load_traces(s, scale.days, 0.5)
-        });
-        let hh = run_case(Some(SchemeCombo::HH), scale, |s| {
-            crate::harness::anl_load_traces(s, scale.days, 0.5)
-        });
-        let yy = run_case(Some(SchemeCombo::YY), scale, |s| {
-            crate::harness::anl_load_traces(s, scale.days, 0.5)
-        });
+        let case = |combo| {
+            let outcomes: Vec<SeedOutcome> = (1..=scale.seeds)
+                .map(|s| run_seed(combo, anl_load_traces(s, scale.days, 0.5)))
+                .collect();
+            fold_outcomes(&outcomes)
+        };
+        let base = case(None);
+        let hh = case(Some(SchemeCombo::HH));
+        let yy = case(Some(SchemeCombo::YY));
         vec![(
             "0.50".to_string(),
             base,

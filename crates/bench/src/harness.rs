@@ -1,4 +1,4 @@
-//! Scenario builders and sweep runners shared by all figure binaries.
+//! Scenario builders and the per-seed runner behind every sweep.
 //!
 //! Experimental design, following §V:
 //!
@@ -12,10 +12,11 @@
 //!   same job count and span as Intrepid's, calibrated to utilization
 //!   ≈ 0.5; the paired proportion is set exactly to
 //!   2.5 / 5 / 10 / 20 / 33 %.
+//!
+//! One case is [`run_seed`] per seed folded by [`fold_outcomes`]; the
+//! sweeps themselves are enumerated and run by [`crate::campaign`].
 
-use cosched_core::{
-    CoschedConfig, CoupledConfig, CoupledSimulation, SchemeCombo, SimulationReport,
-};
+use cosched_core::{CoschedConfig, CoupledConfig, CoupledSimulation, SchemeCombo};
 use cosched_metrics::MachineSummary;
 use cosched_sim::{SimDuration, SimRng};
 use cosched_workload::{pairing, MachineId, MachineModel, Trace, TraceGenerator};
@@ -66,13 +67,25 @@ impl Scale {
         Scale { days: 3, seeds: 1 }
     }
 
-    /// Read `COSCHED_SCALE` (`full` / `quick` / `smoke`), defaulting to
-    /// quick.
-    pub fn from_env() -> Self {
-        match std::env::var("COSCHED_SCALE").as_deref() {
-            Ok("full") => Self::full(),
-            Ok("smoke") => Self::smoke(),
-            _ => Self::quick(),
+    /// The scale named `label` (`smoke` / `quick` / `full`), or `None` for
+    /// any other label.
+    pub fn parse(label: &str) -> Option<Self> {
+        match label {
+            "smoke" => Some(Self::smoke()),
+            "quick" => Some(Self::quick()),
+            "full" => Some(Self::full()),
+            _ => None,
+        }
+    }
+
+    /// Read `COSCHED_SCALE` (`smoke` / `quick` / `full`), defaulting to
+    /// quick when it is unset. Any other value is an error, so a typo never
+    /// runs the wrong experiment.
+    pub fn from_env() -> Result<Self, String> {
+        match std::env::var("COSCHED_SCALE") {
+            Err(_) => Ok(Self::quick()),
+            Ok(label) => Self::parse(&label)
+                .ok_or_else(|| format!("unknown COSCHED_SCALE {label:?} (smoke|quick|full)")),
         }
     }
 }
@@ -153,20 +166,11 @@ pub struct CaseResult {
     pub rendezvous: (usize, usize, usize),
 }
 
-/// Run one configuration over one set of traces.
-pub fn run_one(combo: Option<SchemeCombo>, traces: [Trace; 2]) -> SimulationReport {
-    let config = match combo {
-        Some(c) => CoupledConfig::anl(c),
-        None => CoupledConfig::anl_baseline(),
-    };
-    CoupledSimulation::new(config, traces).run()
-}
-
 /// What one seed of a case contributes to the average — the unit of work a
 /// campaign worker produces. Every field is an independent function of
 /// `(combo, traces)` alone, which is what makes the campaign's fan-out
 /// deterministic: outcomes can be computed in any order and folded in seed
-/// order, reproducing the serial loop bit for bit (f64 accumulation order
+/// order, reproducing a one-worker run bit for bit (f64 accumulation order
 /// included).
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct SeedOutcome {
@@ -186,13 +190,14 @@ pub struct SeedOutcome {
     pub rendezvous: (usize, usize, usize),
 }
 
-/// Run one seed of a case: the independent cell the campaign parallelises
-/// over.
+/// Run one seed of a case on the ANL model (`None` is the no-coscheduling
+/// baseline): the independent cell the campaign parallelises over.
 pub fn run_seed(combo: Option<SchemeCombo>, traces: [Trace; 2]) -> SeedOutcome {
     let total_jobs = traces[0].len() + traces[1].len();
     let paired = traces[0].paired_count() + traces[1].paired_count();
     let paired_share = paired as f64 / total_jobs.max(1) as f64;
-    let report = run_one(combo, traces);
+    let config = combo.map_or_else(CoupledConfig::anl_baseline, CoupledConfig::anl);
+    let report = CoupledSimulation::new(config, traces).run();
     SeedOutcome {
         intrepid: report.summaries[0].clone(),
         eureka: report.summaries[1].clone(),
@@ -209,8 +214,8 @@ pub fn run_seed(combo: Option<SchemeCombo>, traces: [Trace; 2]) -> SeedOutcome {
 }
 
 /// Fold per-seed outcomes (in seed order) into a [`CaseResult`]. The fold
-/// accumulates in slice order, so feeding it outcomes in the same order the
-/// serial loop produced them yields a bit-identical average.
+/// accumulates in slice order, so feeding it outcomes in seed order yields
+/// a bit-identical average however they were computed.
 pub fn fold_outcomes(outcomes: &[SeedOutcome]) -> CaseResult {
     assert!(!outcomes.is_empty(), "a case needs at least one seed");
     let mut intrepid = Vec::with_capacity(outcomes.len());
@@ -242,97 +247,9 @@ pub fn fold_outcomes(outcomes: &[SeedOutcome]) -> CaseResult {
     }
 }
 
-/// Run a case across `scale.seeds` seeds and average. `mk_traces` builds the
-/// per-seed traces (seed is passed in).
-pub fn run_case<F>(combo: Option<SchemeCombo>, scale: Scale, mut mk_traces: F) -> CaseResult
-where
-    F: FnMut(u64) -> [Trace; 2],
-{
-    let outcomes: Vec<SeedOutcome> = (0..scale.seeds)
-        .map(|seed| {
-            let traces = mk_traces(seed + 1);
-            eprintln!(
-                "  case combo={} seed={}/{} …",
-                combo.map_or("baseline".to_string(), |c| c.label()),
-                seed + 1,
-                scale.seeds
-            );
-            run_seed(combo, traces)
-        })
-        .collect();
-    fold_outcomes(&outcomes)
-}
-
 /// One sweep grid point: the x-axis value (utilization or proportion), the
 /// no-coscheduling baseline, and the four scheme-combination results.
 pub type SweepPoint = (f64, CaseResult, Vec<(SchemeCombo, CaseResult)>);
-
-/// Results of the Eureka-load sweep (Figs. 3–6): for each utilization, the
-/// baseline and the four scheme combinations.
-#[derive(Debug, Clone)]
-pub struct LoadSweep {
-    /// `(eureka_util, baseline, [HH, HY, YH, YY])` per grid point.
-    pub points: Vec<SweepPoint>,
-    /// Scale the sweep ran at.
-    pub scale: Scale,
-}
-
-/// Run the full load sweep.
-pub fn load_sweep(scale: Scale) -> LoadSweep {
-    let points = EUREKA_UTILS
-        .iter()
-        .map(|&util| {
-            let base = run_case(None, scale, |seed| anl_load_traces(seed, scale.days, util));
-            let combos = SchemeCombo::ALL
-                .iter()
-                .map(|&c| {
-                    (
-                        c,
-                        run_case(Some(c), scale, |seed| {
-                            anl_load_traces(seed, scale.days, util)
-                        }),
-                    )
-                })
-                .collect();
-            (util, base, combos)
-        })
-        .collect();
-    LoadSweep { points, scale }
-}
-
-/// Results of the paired-proportion sweep (Figs. 7–10).
-#[derive(Debug, Clone)]
-pub struct PropSweep {
-    /// `(proportion, baseline, [HH, HY, YH, YY])` per grid point.
-    pub points: Vec<SweepPoint>,
-    /// Scale the sweep ran at.
-    pub scale: Scale,
-}
-
-/// Run the full proportion sweep.
-pub fn prop_sweep(scale: Scale) -> PropSweep {
-    let points = PROPORTIONS
-        .iter()
-        .map(|&p| {
-            let base = run_case(None, scale, |seed| {
-                anl_proportion_traces(seed, scale.days, p)
-            });
-            let combos = SchemeCombo::ALL
-                .iter()
-                .map(|&c| {
-                    (
-                        c,
-                        run_case(Some(c), scale, |seed| {
-                            anl_proportion_traces(seed, scale.days, p)
-                        }),
-                    )
-                })
-                .collect();
-            (p, base, combos)
-        })
-        .collect();
-    PropSweep { points, scale }
-}
 
 /// A paper-faithful ANL configuration with the coscheduling settings
 /// overridden — used by the ablation harness.
@@ -348,12 +265,31 @@ pub fn anl_with(combo: SchemeCombo, edit: impl Fn(&mut CoschedConfig)) -> Couple
 mod tests {
     use super::*;
 
+    /// One smoke-scale load-sweep case, averaged over its seeds.
+    fn smoke_case(combo: Option<SchemeCombo>, util: f64) -> CaseResult {
+        let scale = Scale::smoke();
+        let outcomes: Vec<SeedOutcome> = (1..=scale.seeds)
+            .map(|seed| run_seed(combo, anl_load_traces(seed, scale.days, util)))
+            .collect();
+        fold_outcomes(&outcomes)
+    }
+
     #[test]
     fn scale_from_env_defaults_quick() {
         // Note: avoids mutating the environment (tests run in parallel);
-        // just checks the default path when the var is absent or unknown.
-        let s = Scale::from_env();
+        // just checks the default path when the var is absent.
+        let s = Scale::from_env().expect("COSCHED_SCALE unset or valid");
         assert!(s.days >= 3 && s.seeds >= 1);
+    }
+
+    #[test]
+    fn scale_parse_names_every_scale_and_rejects_unknown_labels() {
+        assert_eq!(Scale::parse("smoke"), Some(Scale::smoke()));
+        assert_eq!(Scale::parse("quick"), Some(Scale::quick()));
+        assert_eq!(Scale::parse("full"), Some(Scale::full()));
+        for bad in ["ful", "", "Quick", "full "] {
+            assert_eq!(Scale::parse(bad), None, "{bad:?}");
+        }
     }
 
     #[test]
@@ -383,10 +319,7 @@ mod tests {
 
     #[test]
     fn smoke_case_runs_and_synchronizes() {
-        let scale = Scale::smoke();
-        let case = run_case(Some(SchemeCombo::YY), scale, |seed| {
-            anl_load_traces(seed, scale.days, 0.5)
-        });
+        let case = smoke_case(Some(SchemeCombo::YY), 0.5);
         assert!(case.sync_ok);
         assert!(!case.deadlocked);
         assert!(case.intrepid.jobs > 50);
@@ -394,8 +327,7 @@ mod tests {
 
     #[test]
     fn baseline_case_has_no_holds() {
-        let scale = Scale::smoke();
-        let case = run_case(None, scale, |seed| anl_load_traces(seed, scale.days, 0.25));
+        let case = smoke_case(None, 0.25);
         assert_eq!(case.intrepid.total_holds, 0);
         assert_eq!(case.eureka.total_holds, 0);
         assert_eq!(case.intrepid.lost_node_hours, 0.0);

@@ -1,7 +1,7 @@
 //! Command implementations.
 
 use crate::args::Parsed;
-use cosched_bench::{bench_campaign, CampaignReport, Scale, SweepKind};
+use cosched_bench::{bench_campaign, figures, CampaignReport, Scale, SweepKind};
 use cosched_core::{
     CoschedConfig, CoupledConfig, CoupledSimulation, RunStats, Scheme, SchemeCombo,
     SimulationReport,
@@ -41,6 +41,7 @@ pub fn run_command(parsed: &Parsed, out: &mut dyn Write) -> Result<(), String> {
         "pair" => cmd_pair(parsed, out),
         "simulate" => cmd_simulate(parsed, out),
         "analyze" => cmd_analyze(parsed, out),
+        "figures" => cmd_figures(parsed, out),
         "bench" => cmd_bench(parsed, out),
         "watch" => cmd_watch(parsed, out),
         "help" | "--help" | "-h" => {
@@ -88,6 +89,9 @@ Trace analysis (over JSONL traces from `simulate --trace-out`):
   cosched analyze diff          --a <t1.jsonl> --b <t2.jsonl>
   cosched analyze export    --report <report.json> [--out <metrics.prom>]
   cosched analyze export    --format perfetto --trace <t.jsonl> [--out <t.json>]
+
+Paper figures (both sweeps once, all tables of §V as Markdown):
+  cosched figures [--scale <smoke|quick|full>]
 
 Benchmarks:
   cosched bench campaign [--scale <smoke|quick|full>] [--threads 1,2,4]
@@ -389,6 +393,23 @@ impl TelemetryProvider for CampaignProgress {
     }
 }
 
+/// The experiment scale named by a `--scale` option.
+fn parse_scale(label: &str) -> Result<Scale, String> {
+    Scale::parse(label).ok_or_else(|| format!("unknown scale {label:?} (smoke|quick|full)"))
+}
+
+/// Print every table of the paper's evaluation: the load and proportion
+/// sweeps run once, on every hardware thread (the output does not depend
+/// on the worker count).
+fn cmd_figures(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
+    p.no_subcommand("figures")?;
+    p.allow_only(&["scale"])?;
+    let scale = parse_scale(p.get("scale").unwrap_or("quick"))?;
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    out.write_all(figures::report(scale, threads).as_bytes())
+        .map_err(|e| format!("cannot write figures: {e}"))
+}
+
 fn cmd_bench(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
     match p.subcommand.as_deref() {
         Some("campaign") => cmd_bench_campaign(p, out),
@@ -426,12 +447,7 @@ fn cmd_bench_campaign(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
         "telemetry",
     ])?;
     let scale_label = p.get("scale").unwrap_or("smoke");
-    let scale = match scale_label {
-        "smoke" => Scale::smoke(),
-        "quick" => Scale::quick(),
-        "full" => Scale::full(),
-        other => return Err(format!("unknown scale {other:?} (smoke|quick|full)")),
-    };
+    let scale = parse_scale(scale_label)?;
     let threads: Vec<usize> = p
         .get("threads")
         .unwrap_or("1,2,4")
@@ -482,7 +498,7 @@ fn cmd_bench_campaign(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
             scale.seeds,
             hardware_threads
         );
-        let (_points, report) = bench_campaign(kind, scale, &threads);
+        let report = bench_campaign(kind, scale, &threads);
         for t in &report.timings {
             let _ = writeln!(
                 out,
@@ -1251,6 +1267,14 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("scale"), "{err}");
+    }
+
+    #[test]
+    fn figures_rejects_an_unknown_scale() {
+        let err = run("figures --scale ful").unwrap_err();
+        assert!(err.contains("unknown scale \"ful\""), "{err}");
+        let err = run("bench campaign --scale ful").unwrap_err();
+        assert!(err.contains("unknown scale \"ful\""), "{err}");
     }
 
     #[test]

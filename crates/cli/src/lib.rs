@@ -11,7 +11,9 @@
 //!   custom window / exact proportion) and write a pairs file;
 //! * `simulate` — run the coupled coscheduling simulation from two SWF
 //!   traces + a pairs file, printing the metrics table and optionally a
-//!   JSON report.
+//!   JSON report;
+//! * `figures` — run the paper's load and proportion sweeps and print every
+//!   table of its evaluation (§V-B validation, Figs. 3–10).
 
 pub mod args;
 pub mod commands;

@@ -235,12 +235,15 @@ impl LiveDomain {
                     );
                 }
                 Decision::Hold => {
+                    // A hold keeps the charged partition, not just the
+                    // request — the simulator reports the same.
+                    let nodes = cand.charged;
                     g.machine.hold(cand, now);
                     g.tell(
                         now,
                         TraceEvent::CoschedHoldPlaced {
                             job: job.id.0,
-                            nodes: job.size,
+                            nodes,
                         },
                     );
                 }
@@ -532,6 +535,44 @@ mod tests {
         Direct(a)
     }
 
+    /// Remote that always reports the mate queuing but never startable.
+    struct Stub;
+    impl Transport for Stub {
+        fn call(&mut self, req: &Request) -> Result<Response, cosched_proto::ProtoError> {
+            Ok(match req {
+                Request::GetMateJob { .. } => Response::MateJob(Some(cosched_workload::MateRef {
+                    machine: MachineId(1),
+                    job: JobId(1),
+                })),
+                Request::GetMateStatus { .. } => Response::MateStatus(MateStatus::Queuing),
+                Request::TryStartMate { .. } => Response::Started(false),
+                _ => Response::Error("unexpected".into()),
+            })
+        }
+    }
+
+    /// On a buddy-partitioned machine a hold keeps the whole charged
+    /// partition; the monitor must count that, as it does for the
+    /// simulator, not the job's requested size.
+    #[test]
+    fn attached_monitor_counts_the_charged_partition_of_a_hold() {
+        let monitor = StreamingMonitor::new();
+        let a = LiveDomain::new(
+            Machine::new(MachineConfig::intrepid(MachineId(0))),
+            CoschedConfig::paper(Scheme::Hold),
+            registry_with_pair(),
+            MachineId(1),
+        );
+        a.attach_telemetry(monitor.clone());
+        // 600 nodes is no partition size: the buddy allocator charges 1,024.
+        a.submit(job(0, 1, 600, 60), SimTime::ZERO);
+        a.pump(SimTime::ZERO, &mut Stub);
+        assert_eq!(a.held(), vec![JobId(1)]);
+        let charged = a.inner.lock().machine.held_nodes();
+        assert_eq!(charged, 1_024);
+        assert_eq!(monitor.snapshot().machines[0].held_nodes, charged);
+    }
+
     #[test]
     fn release_timer_fires_in_pump() {
         let a = LiveDomain::new(
@@ -541,23 +582,6 @@ mod tests {
             registry_with_pair(),
             MachineId(1),
         );
-        // Remote that always reports the mate queuing but never startable.
-        struct Stub;
-        impl Transport for Stub {
-            fn call(&mut self, req: &Request) -> Result<Response, cosched_proto::ProtoError> {
-                Ok(match req {
-                    Request::GetMateJob { .. } => {
-                        Response::MateJob(Some(cosched_workload::MateRef {
-                            machine: MachineId(1),
-                            job: JobId(1),
-                        }))
-                    }
-                    Request::GetMateStatus { .. } => Response::MateStatus(MateStatus::Queuing),
-                    Request::TryStartMate { .. } => Response::Started(false),
-                    _ => Response::Error("unexpected".into()),
-                })
-            }
-        }
         a.submit(job(0, 1, 4, 60), SimTime::ZERO);
         a.pump(SimTime::ZERO, &mut Stub);
         assert_eq!(a.held(), vec![JobId(1)]);

@@ -1,13 +1,12 @@
-//! Tier-1 determinism invariant of the parallel campaign runner: a
-//! campaign fanned out over N workers produces results **byte-identical**
-//! to the serial sweep — same `CaseResult`s, same serialized JSON. Each
-//! cell owns its RNG seed and simulation state, and the campaign folds
-//! outcomes in submission order, so this must stay exactly true; any
-//! divergence means shared state or a float-accumulation-order change
-//! leaked in.
+//! Tier-1 determinism invariant of the campaign runner: a sweep fanned out
+//! over N workers produces results **byte-identical** to the one-worker
+//! sweep — same `CaseResult`s, same serialized JSON. Each cell owns its RNG
+//! seed and simulation state, and the campaign folds outcomes in
+//! submission order, so this must stay exactly true; any divergence means
+//! shared state or a float-accumulation-order change leaked in.
 
-use cosched_bench::campaign::{parallel_load_sweep, parallel_prop_sweep};
-use cosched_bench::harness::{load_sweep, prop_sweep, Scale, SweepPoint};
+use cosched_bench::campaign::{sweep, SweepKind};
+use cosched_bench::harness::{Scale, SweepPoint};
 
 fn tiny() -> Scale {
     Scale { days: 2, seeds: 2 }
@@ -17,34 +16,27 @@ fn to_json(points: &[SweepPoint]) -> String {
     serde_json::to_string(&points).expect("sweep points serialize")
 }
 
-#[test]
-fn parallel_load_sweep_is_byte_identical_to_serial() {
+/// One worker (the reference: no pool) against four, structurally and as
+/// serialized bytes.
+fn assert_worker_count_invariant(kind: SweepKind) {
     let scale = tiny();
-    let serial = load_sweep(scale);
-    let one = parallel_load_sweep(scale, 1);
-    let four = parallel_load_sweep(scale, 4);
+    let one = sweep(kind, scale, 1);
+    let four = sweep(kind, scale, 4);
+    assert_eq!(one.len(), kind.grid().len());
     // Structural equality…
-    assert_eq!(
-        serial.points, one.points,
-        "1-thread campaign == serial loop"
-    );
-    assert_eq!(
-        serial.points, four.points,
-        "4-thread campaign == serial loop"
-    );
+    assert_eq!(one, four, "4-thread campaign == 1-thread campaign");
     // …and byte identity of the serialized artifact (what lands in
     // report files): equality of f64s implies equal formatting, but pin
     // the bytes too so the invariant survives representation changes.
-    let reference = to_json(&serial.points);
-    assert_eq!(reference, to_json(&one.points));
-    assert_eq!(reference, to_json(&four.points));
+    assert_eq!(to_json(&one), to_json(&four));
+}
+
+#[test]
+fn parallel_load_sweep_is_byte_identical_to_serial() {
+    assert_worker_count_invariant(SweepKind::Load);
 }
 
 #[test]
 fn parallel_prop_sweep_is_byte_identical_to_serial() {
-    let scale = tiny();
-    let serial = prop_sweep(scale);
-    let four = parallel_prop_sweep(scale, 4);
-    assert_eq!(serial.points, four.points);
-    assert_eq!(to_json(&serial.points), to_json(&four.points));
+    assert_worker_count_invariant(SweepKind::Proportion);
 }

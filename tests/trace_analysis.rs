@@ -3,6 +3,7 @@
 //! time to hold-side machines, and the committed golden fixture round-trips
 //! byte-identically through the reader, reconstructor, and writer.
 
+use cosched_bench::harness::anl_load_traces;
 use coupled_cosched::cosched::{CoschedConfig, CoupledConfig, CoupledSimulation, SchemeCombo};
 use coupled_cosched::obs::{read_trace_str, write_trace_string, TraceRecord};
 use coupled_cosched::prelude::*;
@@ -107,6 +108,46 @@ fn hold_time_attribution_localizes_to_hold_side_machines() {
     let hy_rep = AttributionReport::from_lifecycles(&hy);
     assert_eq!(hy_rep.scheme_label(), "HY");
     assert_eq!(hy_rep.machine(1).unwrap().hold_secs, 0);
+}
+
+#[test]
+fn traced_anl_model_run_reconstructs_and_matches_untraced() {
+    // The one ANL-model input among the traced runs: buddy-allocated
+    // Intrepid (WFP) plus Eureka, HH, on a 3-day load-sweep workload at
+    // Eureka utilization 0.5. Every analyzer must accept its trace, and
+    // tracing must not change the outcome.
+    let traces = || anl_load_traces(1, 3, 0.5);
+    let untraced = CoupledSimulation::new(CoupledConfig::anl(SchemeCombo::HH), traces()).run();
+    let arts = CoupledSimulation::with_observer(
+        CoupledConfig::anl(SchemeCombo::HH),
+        traces(),
+        SinkObserver::new(VecSink::default()),
+    )
+    .run_traced();
+    let records = &arts.observer.sink().records;
+
+    let set = LifecycleSet::from_records(records).expect("ANL trace reconstructs");
+    assert_eq!(
+        set.jobs.len(),
+        untraced.summaries[0].jobs + untraced.summaries[1].jobs
+    );
+    let attribution = AttributionReport::from_lifecycles(&set);
+    assert_eq!(attribution.scheme_label(), "HH");
+    let critical = CriticalPathReport::from_records(records).expect("critical paths reconstruct");
+    assert!(
+        !critical.pairs.is_empty(),
+        "completed pairs have critical paths"
+    );
+    assert_eq!(critical.unfinished, 0, "every pair reached its start");
+    for path in &critical.pairs {
+        path.check().expect("critical path is gap-free");
+    }
+
+    assert_eq!(
+        format!("{:?}", arts.report),
+        format!("{untraced:?}"),
+        "traced report must equal the untraced report"
+    );
 }
 
 #[test]
